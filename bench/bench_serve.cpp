@@ -6,6 +6,8 @@
 // is answered as K solo forwards (max_batch=1) or as a handful of wide
 // ones. The batched GEMM column-throughput headroom (DESIGN.md §6) is
 // what turns wider batches into requests/s.
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -172,8 +174,18 @@ RunResult run_http_load(const std::string& checkpoint, int workers, int max_batc
 
 int main() {
   const auto cfg = model_config();
-  const std::string checkpoint =
-      (std::filesystem::temp_directory_path() / "dlscale_bench_serve_ckpt.bin").string();
+  // Per-process name, so concurrent runs never share (or delete) one file;
+  // the guard removes it on every way out of main.
+  struct CheckpointFile {
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("dlscale_bench_serve_" + std::to_string(::getpid()) + ".bin"))
+                           .string();
+    CheckpointFile() = default;
+    CheckpointFile(const CheckpointFile&) = delete;
+    CheckpointFile& operator=(const CheckpointFile&) = delete;
+    ~CheckpointFile() { std::remove(path.c_str()); }
+  } checkpoint_file;
+  const std::string& checkpoint = checkpoint_file.path;
   {
     util::Rng rng(1);
     models::MiniDeepLabV3Plus model(cfg, rng);
@@ -299,6 +311,5 @@ int main() {
   }
   std::printf("peak RSS: %.1f MiB\n",
               static_cast<double>(util::peak_rss_bytes()) / (1024.0 * 1024.0));
-  std::remove(checkpoint.c_str());
   return 0;
 }

@@ -1,28 +1,27 @@
 #include "dlscale/util/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace dlscale::util::json {
 
 namespace {
 
+const char* kind_name(Value::Kind k) {
+  switch (k) {
+    case Value::Kind::kNull: return "null";
+    case Value::Kind::kBool: return "bool";
+    case Value::Kind::kNumber: return "number";
+    case Value::Kind::kString: return "string";
+    case Value::Kind::kArray: return "array";
+    case Value::Kind::kObject: return "object";
+  }
+  return "?";
+}
+
 [[noreturn]] void throw_kind_mismatch(Value::Kind want, Value::Kind got, const std::string& where) {
-  auto name = [](Value::Kind k) -> const char* {
-    switch (k) {
-      case Value::Kind::kNull: return "null";
-      case Value::Kind::kBool: return "bool";
-      case Value::Kind::kNumber: return "number";
-      case Value::Kind::kString: return "string";
-      case Value::Kind::kArray: return "array";
-      case Value::Kind::kObject: return "object";
-    }
-    return "?";
-  };
-  throw SchemaError(where + ": expected " + std::string(name(want)) + ", got " + name(got));
+  throw SchemaError(where + ": expected " + kind_name(want) + ", got " + kind_name(got));
 }
 
 }  // namespace
@@ -98,273 +97,259 @@ void Value::copy_from(const Value& other) {
 }
 
 // ---------------------------------------------------------------------------
-// Parser: recursive descent over the full grammar, hard depth limit.
+// Lexer: the strict grammar shared by parse() and the typed decoder.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+void Lexer::fail(const std::string& what) const { throw ParseError(what, pos_); }
+
+void Lexer::expect(char c) {
+  if (pos_ >= text_.size() || text_[pos_] != c) {
+    fail(std::string("expected '") + c + "'");
+  }
+  ++pos_;
+}
+
+bool Lexer::open(char opener, char closer) {
+  expect(opener);
+  skip_ws();
+  if (peek() != closer) return true;
+  ++pos_;
+  return false;
+}
+
+bool Lexer::next(char closer) {
+  skip_ws();
+  const char c = peek();
+  if (c == ',') {
+    ++pos_;
+    return true;
+  }
+  if (c == closer) {
+    ++pos_;
+    return false;
+  }
+  fail(std::string("expected ',' or '") + closer + "' in " + (closer == ']' ? "array" : "object"));
+}
+
+void Lexer::key(std::string& out) {
+  skip_ws();
+  if (peek() != '"') fail("object key must be a string");
+  string(out);
+}
+
+void Lexer::colon() {
+  skip_ws();
+  expect(':');
+}
+
+void Lexer::literal(std::string_view lit) {
+  if (text_.substr(pos_, lit.size()) != lit) fail("invalid literal");
+  pos_ += lit.size();
+}
+
+void Lexer::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing characters after JSON value");
+}
+
+void Lexer::string(std::string& out) {
+  expect('"');
+  out.clear();
+  for (;;) {
+    // Copy the run of plain bytes up to the next quote, escape, or end.
+    std::size_t run = pos_;
+    while (run < text_.size() && text_[run] != '"' && text_[run] != '\\' &&
+           static_cast<unsigned char>(text_[run]) >= 0x20) {
+      ++run;
+    }
+    out.append(text_.data() + pos_, run - pos_);
+    pos_ = run;
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+    if (c == '"') {
+      ++pos_;
+      return;
+    }
+    if (c < 0x20) fail("unescaped control character in string");
+    ++pos_;  // the backslash
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': unicode_escape(out); break;
+      default: fail("invalid escape character");
+    }
+  }
+}
+
+unsigned Lexer::hex4() {
+  if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char h = text_[pos_++];
+    code <<= 4;
+    if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+    else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+    else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+    else fail("invalid hex digit in \\u escape");
+  }
+  return code;
+}
+
+void Lexer::unicode_escape(std::string& out) {
+  unsigned code = hex4();
+  if (code >= 0xD800 && code <= 0xDBFF) {  // high surrogate; need the pair
+    if (pos_ + 2 > text_.size() || text_[pos_] != '\\' || text_[pos_ + 1] != 'u') {
+      fail("unpaired surrogate in \\u escape");
+    }
+    pos_ += 2;
+    const unsigned low = hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate in \\u escape");
+    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+  } else if (code >= 0xDC00 && code <= 0xDFFF) {
+    fail("unpaired low surrogate in \\u escape");
+  }
+  // UTF-8 encode.
+  if (code < 0x80) {
+    out.push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else if (code < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (code >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+}
+
+double Lexer::number() {
+  const auto digit = [&] {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  };
+  const std::size_t start = pos_;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  if (!digit()) {
+    pos_ = start;
+    fail("invalid value");
+  }
+  if (text_[pos_] == '0') {
+    ++pos_;  // leading zero must stand alone
+  } else {
+    while (digit()) ++pos_;
+  }
+  if (pos_ < text_.size() && text_[pos_] == '.') {
+    ++pos_;
+    if (!digit()) fail("digit required after decimal point");
+    while (digit()) ++pos_;
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+    if (!digit()) fail("digit required in exponent");
+    while (digit()) ++pos_;
+  }
+  double out = 0.0;
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  const auto [ptr, ec] = std::from_chars(first, last, out);
+  if (ec != std::errc() || ptr != last) {
+    pos_ = start;
+    fail("unparsable number");
+  }
+  if (!std::isfinite(out)) {
+    pos_ = start;
+    fail("number out of double range");
+  }
+  return out;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// parse(): recursive descent into a Value tree.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value run() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  [[noreturn]] void fail(const std::string& what) const { throw ParseError(what, pos_); }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
+Value parse_value(detail::Lexer& lex) {
+  const char c = lex.begin_value();
+  Value v;
+  switch (c) {
+    case 'n':
+      lex.literal("null");
+      break;
+    case 't':
+      lex.literal("true");
+      v = Value(true);
+      break;
+    case 'f':
+      lex.literal("false");
+      v = Value(false);
+      break;
+    case '"': {
+      std::string s;
+      lex.string(s);
+      v = Value(std::move(s));
+      break;
     }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  Value parse_value() {
-    if (++depth_ > kMaxDepth) fail("nesting deeper than 64 levels");
-    skip_ws();
-    const char c = peek();
-    Value v;
-    switch (c) {
-      case 'n':
-        if (!consume_literal("null")) fail("invalid literal");
-        v = Value(nullptr);
-        break;
-      case 't':
-        if (!consume_literal("true")) fail("invalid literal");
-        v = Value(true);
-        break;
-      case 'f':
-        if (!consume_literal("false")) fail("invalid literal");
-        v = Value(false);
-        break;
-      case '"':
-        v = Value(parse_string());
-        break;
-      case '[':
-        v = parse_array();
-        break;
-      case '{':
-        v = parse_object();
-        break;
-      default:
-        v = parse_number();
-        break;
-    }
-    --depth_;
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return out;
+    case '[':
+      v = Value::array();
+      if (lex.open('[', ']')) {
+        do {
+          v.push_back(parse_value(lex));
+        } while (lex.next(']'));
       }
-      if (c < 0x20) fail("unescaped control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': append_unicode_escape(out); break;
-          default: fail("invalid escape character");
-        }
-        continue;
+      break;
+    case '{':
+      v = Value::object();
+      if (lex.open('{', '}')) {
+        std::string key;
+        do {
+          lex.key(key);
+          if (v.find(key) != nullptr) lex.fail("duplicate object key \"" + key + "\"");
+          lex.colon();
+          v.set(key, parse_value(lex));
+        } while (lex.next('}'));
       }
-      out.push_back(static_cast<char>(c));
-      ++pos_;
-    }
+      break;
+    default:
+      v = Value(lex.number());
+      break;
   }
+  lex.end_value();
+  return v;
+}
 
-  unsigned parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char h = text_[pos_++];
-      code <<= 4;
-      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-      else fail("invalid hex digit in \\u escape");
-    }
-    return code;
-  }
+}  // namespace
 
-  void append_unicode_escape(std::string& out) {
-    unsigned code = parse_hex4();
-    if (code >= 0xD800 && code <= 0xDBFF) {  // high surrogate; need the pair
-      if (pos_ + 2 > text_.size() || text_[pos_] != '\\' || text_[pos_ + 1] != 'u') {
-        fail("unpaired surrogate in \\u escape");
-      }
-      pos_ += 2;
-      const unsigned low = parse_hex4();
-      if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate in \\u escape");
-      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-    } else if (code >= 0xDC00 && code <= 0xDFFF) {
-      fail("unpaired low surrogate in \\u escape");
-    }
-    // UTF-8 encode.
-    if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else if (code < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      pos_ = start;
-      fail("invalid value");
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;  // leading zero must stand alone
-    } else {
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("digit required after decimal point");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("digit required in exponent");
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    double out = 0.0;
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    const auto [ptr, ec] = std::from_chars(first, last, out);
-    if (ec != std::errc() || ptr != last) {
-      pos_ = start;
-      fail("unparsable number");
-    }
-    if (!std::isfinite(out)) {
-      pos_ = start;
-      fail("number out of double range");
-    }
-    return Value(out);
-  }
-
-  Value parse_array() {
-    expect('[');
-    Value v = Value::array();
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == ']') {
-        ++pos_;
-        return v;
-      }
-      fail("expected ',' or ']' in array");
-    }
-  }
-
-  Value parse_object() {
-    expect('{');
-    Value v = Value::object();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      if (peek() != '"') fail("object key must be a string");
-      std::string key = parse_string();
-      if (v.find(key) != nullptr) fail("duplicate object key \"" + key + "\"");
-      skip_ws();
-      expect(':');
-      v.set(std::move(key), parse_value());
-      skip_ws();
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == '}') {
-        ++pos_;
-        return v;
-      }
-      fail("expected ',' or '}' in object");
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+Value parse(std::string_view text) {
+  detail::Lexer lex(text);
+  Value v = parse_value(lex);
+  lex.finish();
+  return v;
+}
 
 // ---------------------------------------------------------------------------
 // Writer.
 // ---------------------------------------------------------------------------
 
-void write_escaped(const std::string& s, std::string& out) {
+namespace detail {
+
+void write_escaped(std::string_view s, std::string& out) {
   out.push_back('"');
   for (const char raw : s) {
     const unsigned char c = static_cast<unsigned char>(raw);
@@ -399,6 +384,10 @@ void write_number(double d, std::string& out) {
   out.append(buf, ptr);
 }
 
+}  // namespace detail
+
+namespace {
+
 void write_value(const Value& v, std::string& out, int indent, int depth) {
   const bool pretty = indent >= 0;
   auto newline_pad = [&](int levels) {
@@ -414,10 +403,10 @@ void write_value(const Value& v, std::string& out, int indent, int depth) {
       out += v.as_bool() ? "true" : "false";
       break;
     case Value::Kind::kNumber:
-      write_number(v.as_number(), out);
+      detail::write_number(v.as_number(), out);
       break;
     case Value::Kind::kString:
-      write_escaped(v.as_string(), out);
+      detail::write_escaped(v.as_string(), out);
       break;
     case Value::Kind::kArray: {
       const auto& items = v.as_array();
@@ -445,7 +434,7 @@ void write_value(const Value& v, std::string& out, int indent, int depth) {
       for (std::size_t i = 0; i < keys.size(); ++i) {
         if (i != 0) out.push_back(',');
         newline_pad(depth + 1);
-        write_escaped(keys[i], out);
+        detail::write_escaped(keys[i], out);
         out.push_back(':');
         if (pretty) out.push_back(' ');
         write_value(v.member(i), out, indent, depth + 1);
@@ -458,8 +447,6 @@ void write_value(const Value& v, std::string& out, int indent, int depth) {
 }
 
 }  // namespace
-
-Value parse(std::string_view text) { return Parser(text).run(); }
 
 std::string write(const Value& value) {
   std::string out;
@@ -475,38 +462,23 @@ std::string write_pretty(const Value& value, int indent) {
 }
 
 // ---------------------------------------------------------------------------
-// Field-binding support.
+// Typed-decoder errors.
 // ---------------------------------------------------------------------------
 
 namespace detail {
 
-void expect_kind(const Value& value, Value::Kind kind, const std::string& context) {
-  if (value.kind() == kind) return;
-  auto name = [](Value::Kind k) -> const char* {
-    switch (k) {
-      case Value::Kind::kNull: return "null";
-      case Value::Kind::kBool: return "bool";
-      case Value::Kind::kNumber: return "number";
-      case Value::Kind::kString: return "string";
-      case Value::Kind::kArray: return "array";
-      case Value::Kind::kObject: return "object";
-    }
-    return "?";
-  };
-  throw SchemaError(context + ": expected " + name(kind) + ", got " + name(value.kind()));
+std::string Path::str() const {
+  if (parent == nullptr) return "$";
+  if (field != nullptr) return parent->str() + "." + field;
+  return parent->str() + "[" + std::to_string(index) + "]";
 }
 
-double checked_integer(const Value& value, const std::string& context) {
-  expect_kind(value, Value::Kind::kNumber, context);
-  const double d = value.as_number();
-  if (std::nearbyint(d) != d) {
-    throw SchemaError(context + ": expected integer, got non-integral number");
-  }
-  return d;
+void schema_error(const Path& path, const std::string& what) {
+  throw SchemaError(path.str() + ": " + what);
 }
 
-void throw_unknown_field(const std::string& context, const std::string& key) {
-  throw SchemaError(context + ": unknown field \"" + key + "\"");
+void kind_error(const Path& path, const char* want, char first) {
+  schema_error(path, std::string("expected ") + want + ", got " + kind_name(kind_of(first)));
 }
 
 }  // namespace detail

@@ -124,6 +124,22 @@ TEST(HttpRouting, BadPredictBodiesAre400s) {
   EXPECT_EQ(error.model, "seg-fp32");
 }
 
+TEST(HttpRouting, PixelOverflowingFloatIsA400) {
+  Frontend frontend;
+  dh::PredictRequest predict;
+  predict.shape = {1, 3, 16, 16};
+  predict.image.assign(3 * 16 * 16, 0.5f);
+  std::string body = dj::to_json(predict);
+  body.replace(body.find("0.5"), 3, "1e300");  // finite double, no finite float
+  dh::Request request;
+  request.method = "POST";
+  request.target = "/v1/models/seg-fp32:predict";
+  request.body = body;
+  const dh::Response response = frontend.server->handle(request);
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("$.image[0]"), std::string::npos) << response.body;
+}
+
 TEST(HttpRouting, WrongModelShapeNamesExpectedVsGot) {
   Frontend frontend;
   // Well-formed body, wrong spatial size for the model: the serve-layer

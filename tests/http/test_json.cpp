@@ -255,3 +255,59 @@ TEST(JsonReflect, TopLevelMustBeObject) {
   EXPECT_THROW((void)dj::from_json<Outer>("[1, 2]"), dj::SchemaError);
   EXPECT_THROW((void)dj::from_json<Outer>("42"), dj::SchemaError);
 }
+
+// ---------------------------------------------------------------------------
+// Numeric range checks: a number must fit its member's type exactly.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct Ranges {
+  int i = 0;
+  std::uint64_t u = 0;
+  std::int64_t s = 0;
+  float f = 0.0f;
+  static constexpr auto json_fields() {
+    return std::make_tuple(dj::field("i", &Ranges::i), dj::field("u", &Ranges::u),
+                           dj::field("s", &Ranges::s), dj::field("f", &Ranges::f));
+  }
+};
+
+void expect_schema_error_naming(const std::string& text, const std::string& path) {
+  try {
+    (void)dj::from_json<Ranges>(text);
+    FAIL() << "accepted " << text;
+  } catch (const dj::SchemaError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":"), std::string::npos) << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(JsonReflect, IntegerOutsideMemberRangeThrows) {
+  expect_schema_error_naming(R"({"i": 1e300})", "$.i");
+  expect_schema_error_naming(R"({"i": 2147483648})", "$.i");
+  expect_schema_error_naming(R"({"i": -2147483649})", "$.i");
+  expect_schema_error_naming(R"({"u": -1})", "$.u");
+  expect_schema_error_naming(R"({"u": 18446744073709551616})", "$.u");
+  expect_schema_error_naming(R"({"s": 9223372036854775808})", "$.s");
+  expect_schema_error_naming(R"({"s": -1e19})", "$.s");
+}
+
+TEST(JsonReflect, IntegerRangeEdgesDecodeExactly) {
+  const Ranges r = dj::from_json<Ranges>(
+      R"({"i": -2147483648, "u": 18446744073709549568, "s": -9223372036854775808})");
+  EXPECT_EQ(r.i, std::numeric_limits<int>::min());
+  EXPECT_EQ(r.u, 18446744073709549568ull);  // largest double below 2^64
+  EXPECT_EQ(r.s, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(dj::from_json<Ranges>(R"({"i": 2147483647})").i, std::numeric_limits<int>::max());
+  EXPECT_EQ(dj::from_json<Ranges>(R"({"u": -0})").u, 0u);
+}
+
+TEST(JsonReflect, NumberOverflowingFloatMemberThrows) {
+  expect_schema_error_naming(R"({"f": 1e300})", "$.f");
+  expect_schema_error_naming(R"({"f": -3.5e38})", "$.f");
+  EXPECT_EQ(dj::from_json<Ranges>(R"({"f": 3.4028234663852886e+38})").f,
+            std::numeric_limits<float>::max());
+  EXPECT_EQ(dj::from_json<Ranges>(R"({"f": 1e-300})").f, 0.0f);  // underflow rounds, no error
+}

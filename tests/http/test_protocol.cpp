@@ -186,6 +186,35 @@ TEST(Protocol, RejectsMalformedBodies) {
   EXPECT_THROW((void)dj::from_json<dh::ServerSpec>(R"({"http": {"prot": 1}})"), dj::SchemaError);
 }
 
+TEST(Protocol, RejectsOutOfRangeNumbersNamingTheField) {
+  auto schema_error = [](auto decode) -> std::string {
+    try {
+      decode();
+    } catch (const dj::SchemaError& e) {
+      return e.what();
+    }
+    return "no SchemaError";
+  };
+  // 1e300 used to wrap to INT_MIN.
+  EXPECT_NE(schema_error([] { (void)dj::from_json<dh::HttpConfig>(R"({"port": 1e300})"); })
+                .find("$.port:"),
+            std::string::npos);
+  // -1 used to wrap to 2^64 - 1 and disable the 413 body cap.
+  EXPECT_NE(schema_error([] {
+              (void)dj::from_json<dh::ServerSpec>(R"({"http": {"max_body_bytes": -1}})");
+            }).find("$.http.max_body_bytes:"),
+            std::string::npos);
+  EXPECT_NE(schema_error([] {
+              (void)dj::from_json<dh::ServerSpec>(R"({"models": [{}, {"queue_capacity": -8}]})");
+            }).find("$.models[1].queue_capacity:"),
+            std::string::npos);
+  // 1e300 used to reach the model as an inf pixel.
+  EXPECT_NE(schema_error([] {
+              (void)dj::from_json<dh::PredictRequest>(R"({"shape": [1], "image": [0.5, 1e300]})");
+            }).find("$.image[1]:"),
+            std::string::npos);
+}
+
 TEST(Protocol, ParsePrecisionNamesValidSet) {
   EXPECT_EQ(dh::parse_precision("fp32"), dlscale::nn::Precision::kFp32);
   EXPECT_EQ(dh::parse_precision("bf16"), dlscale::nn::Precision::kBf16);

@@ -17,6 +17,7 @@
 #include "dlscale/models/deeplab.hpp"
 #include "dlscale/util/bf16.hpp"
 #include "dlscale/util/rng.hpp"
+#include "../support/temp_file.hpp"
 
 namespace dtr = dlscale::train;
 namespace dmo = dlscale::models;
@@ -24,12 +25,7 @@ namespace du = dlscale::util;
 
 namespace {
 
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
+using dlscale::testing::TempFile;
 
 dmo::MiniDeepLabV3Plus small_model(std::uint64_t seed) {
   du::Rng rng(seed);

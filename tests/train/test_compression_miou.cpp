@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,6 +15,7 @@
 #include "dlscale/train/elastic.hpp"
 #include "dlscale/train/trainer.hpp"
 #include "../support/simd_param.hpp"
+#include "../support/temp_file.hpp"
 
 namespace dh = dlscale::hvd;
 namespace dm = dlscale::mpi;
@@ -24,12 +23,7 @@ namespace dt = dlscale::train;
 
 namespace {
 
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
+using dlscale::testing::TempFile;
 
 dm::WorldOptions functional_world(int ranks) {
   dm::WorldOptions options;
