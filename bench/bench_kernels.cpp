@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -194,8 +195,9 @@ BENCHMARK(BM_GemmDLv3Shape)
     ->Args({48, 256, 16641});   // decoder low-level 1x1 at stride 4 (129x129)
 
 // SIMD dispatch sweep: the same GEMM / conv work under each level (arg 0
-// = scalar twins, arg 1 = AVX2 micro-kernels). Bitwise-identical output,
-// so the delta is pure kernel throughput.
+// = scalar twins, arg 1 = AVX2 micro-kernels, arg 2 = AVX-512 GEMM tier;
+// a level the host lacks is skipped). Bitwise-identical output, so the
+// delta is pure kernel throughput.
 void BM_MatmulSimd(benchmark::State& state) {
   const ScopedSimd scoped(static_cast<du::SimdLevel>(state.range(0)));
   if (skip_unless_level(state, scoped)) return;
@@ -209,7 +211,7 @@ void BM_MatmulSimd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
   state.SetLabel(dt::micro::active_path());
 }
-BENCHMARK(BM_MatmulSimd)->Args({0, 256})->Args({1, 256});
+BENCHMARK(BM_MatmulSimd)->Args({0, 256})->Args({1, 256})->Args({2, 256});
 
 void BM_GemmDLv3ShapeSimd(benchmark::State& state) {
   const ScopedSimd scoped(static_cast<du::SimdLevel>(state.range(0)));
@@ -223,7 +225,7 @@ void BM_GemmDLv3ShapeSimd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * 256 * 2304 * 1089);
   state.SetLabel(dt::micro::active_path());
 }
-BENCHMARK(BM_GemmDLv3ShapeSimd)->Arg(0)->Arg(1);
+BENCHMARK(BM_GemmDLv3ShapeSimd)->Arg(0)->Arg(1)->Arg(2);
 
 // Quantized GEMM at the same ASPP 3x3 shape, end to end as serving runs
 // it: fp32 activations quantized to u8 per call, integer GEMM against the
@@ -248,7 +250,7 @@ void BM_GemmInt8Simd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
   state.SetLabel(dt::micro::active_path());
 }
-BENCHMARK(BM_GemmInt8Simd)->Arg(0)->Arg(1);
+BENCHMARK(BM_GemmInt8Simd)->Arg(0)->Arg(1)->Arg(2);
 
 // bf16 serving cost at the same shape: weights live as bf16 and are
 // widened into fp32 scratch before the regular GEMM — the widen is the
@@ -270,7 +272,7 @@ void BM_GemmBf16(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * m * k * n);
   state.SetLabel(dt::micro::active_path());
 }
-BENCHMARK(BM_GemmBf16)->Arg(0)->Arg(1);
+BENCHMARK(BM_GemmBf16)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Conv2dForwardSimd(benchmark::State& state) {
   const ScopedSimd scoped(static_cast<du::SimdLevel>(state.range(0)));
@@ -284,7 +286,133 @@ void BM_Conv2dForwardSimd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(dt::micro::active_path());
 }
-BENCHMARK(BM_Conv2dForwardSimd)->Arg(0)->Arg(1);
+BENCHMARK(BM_Conv2dForwardSimd)->Arg(0)->Arg(1)->Arg(2);
+
+// The mini DLv3+ convolutions at the dlbench train-dp4 configuration
+// (width 16, 32x32 inputs, batch 2): input channels and square extent,
+// output channels, square kernel, spec. Channels and specs are written
+// as in the MiniDeepLabV3Plus constructor (src/models/deeplab.cpp);
+// extents are the input sizes its forward feeds each layer (32, 16, 8,
+// then 4 for block3 and the ASPP at /8, 8 for the decoder at /4).
+// Change these rows with the model.
+struct ModelConv {
+  const char* name;
+  int in_c, extent, out_c, kernel;
+  dt::Conv2dSpec spec;
+};
+constexpr int kW = 16;
+constexpr ModelConv kModelConvs[] = {
+    {"stem", 3, 32, kW, 3, {2, 1, 1}},
+    {"block1", kW, 16, 2 * kW, 3, {2, 1, 1}},
+    {"block2", 2 * kW, 8, 4 * kW, 3, {2, 1, 1}},
+    {"block3", 4 * kW, 4, 4 * kW, 3, {1, 2, 2}},
+    {"aspp.1x1", 4 * kW, 4, 2 * kW, 1, {1, 0, 1}},
+    {"aspp.r2", 4 * kW, 4, 2 * kW, 3, {1, 2, 2}},
+    {"aspp.r4", 4 * kW, 4, 2 * kW, 3, {1, 4, 4}},
+    {"aspp.pool", 4 * kW, 1, 2 * kW, 1, {1, 0, 1}},
+    {"aspp.project", 8 * kW, 4, 4 * kW, 1, {1, 0, 1}},
+    {"decoder.low_level", 2 * kW, 8, kW, 1, {1, 0, 1}},
+    {"decoder.conv", 5 * kW, 8, 2 * kW, 3, {1, 1, 1}},
+    {"classifier", 2 * kW, 8, 6, 1, {1, 0, 1}},
+};
+constexpr int kModelBatch = 2;
+constexpr int kNumModelConvs = static_cast<int>(std::size(kModelConvs));
+
+struct ModelConvData {
+  dt::Tensor x, w, y, grad_out;
+  int out_extent = 0;
+  std::size_t col_floats = 0;  ///< one sample's (in_c*k*k) x patch matrix
+  double macs = 0.0;           ///< multiply-adds of one forward GEMM over the batch
+};
+
+ModelConvData make_model_conv(const ModelConv& c) {
+  du::Rng rng(1);
+  ModelConvData d;
+  d.x = dt::Tensor::randn({kModelBatch, c.in_c, c.extent, c.extent}, rng);
+  d.w = dt::Tensor::he_init({c.out_c, c.in_c, c.kernel, c.kernel}, rng);
+  d.out_extent = c.spec.out_extent(c.extent, c.kernel);
+  d.y = dt::conv2d(d.x, d.w, nullptr, c.spec);
+  d.grad_out = dt::Tensor::randn(d.y.shape(), rng);
+  const std::size_t patch = static_cast<std::size_t>(d.out_extent) * d.out_extent;
+  d.col_floats = static_cast<std::size_t>(c.in_c) * c.kernel * c.kernel * patch;
+  d.macs = static_cast<double>(kModelBatch) * c.out_c * static_cast<double>(d.col_floats);
+  return d;
+}
+
+// Lowering cost alone, one row per model convolution: one pass over the
+// batch, as conv2d (forward) and conv2d_backward (twice: im2col, then
+// col2im of dX) run it. Bytes = column-matrix floats written or read.
+void BM_Im2col(benchmark::State& state) {
+  const ModelConv& c = kModelConvs[state.range(0)];
+  const ModelConvData d = make_model_conv(c);
+  std::vector<float> cols(d.col_floats);
+  for (auto _ : state) {
+    for (int n = 0; n < kModelBatch; ++n) {
+      dt::im2col(d.x, n, c.kernel, c.kernel, c.spec, cols.data());
+    }
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kModelBatch *
+                          static_cast<std::int64_t>(d.col_floats * sizeof(float)));
+  state.SetLabel(c.name);
+}
+BENCHMARK(BM_Im2col)->DenseRange(0, kNumModelConvs - 1);
+
+void BM_Col2im(benchmark::State& state) {
+  const ModelConv& c = kModelConvs[state.range(0)];
+  const ModelConvData d = make_model_conv(c);
+  du::Rng rng(2);
+  const dt::Tensor cols = dt::Tensor::randn(
+      {c.in_c * c.kernel * c.kernel, d.out_extent * d.out_extent}, rng);
+  dt::Tensor grad_input(d.x.shape());
+  for (auto _ : state) {
+    for (int n = 0; n < kModelBatch; ++n) {
+      dt::col2im(cols.ptr(), grad_input, n, c.kernel, c.kernel, c.spec);
+    }
+    benchmark::DoNotOptimize(grad_input.ptr());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kModelBatch *
+                          static_cast<std::int64_t>(d.col_floats * sizeof(float)));
+  state.SetLabel(c.name);
+}
+BENCHMARK(BM_Col2im)->DenseRange(0, kNumModelConvs - 1);
+
+// All model convolutions, forward or backward, one thread, under each
+// SIMD level: the isolated per-step conv cost. items/s is GEMM flop/s
+// (2 per multiply-add; backward runs two GEMMs per conv).
+void model_convs(benchmark::State& state, bool backward) {
+  const ScopedSimd scoped(static_cast<du::SimdLevel>(state.range(0)));
+  if (skip_unless_level(state, scoped)) return;
+  const ScopedThreads one_thread(1);
+  std::vector<ModelConvData> data;
+  double flops = 0.0;
+  for (const ModelConv& c : kModelConvs) {
+    data.push_back(make_model_conv(c));
+    flops += (backward ? 4.0 : 2.0) * data.back().macs;
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < kNumModelConvs; ++i) {
+      const ModelConv& c = kModelConvs[i];
+      const ModelConvData& d = data[static_cast<std::size_t>(i)];
+      if (backward) {
+        dt::Tensor grad_w(d.w.shape());
+        benchmark::DoNotOptimize(dt::conv2d_backward(d.x, d.w, d.grad_out, c.spec, grad_w,
+                                                     nullptr));
+      } else {
+        benchmark::DoNotOptimize(dt::conv2d(d.x, d.w, nullptr, c.spec));
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(static_cast<double>(state.iterations()) *
+                                                    flops));
+  state.SetLabel(dt::micro::active_path());
+}
+void BM_ModelConvsForwardSimd(benchmark::State& state) { model_convs(state, false); }
+void BM_ModelConvsBackwardSimd(benchmark::State& state) { model_convs(state, true); }
+BENCHMARK(BM_ModelConvsForwardSimd)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ModelConvsBackwardSimd)->Arg(0)->Arg(1)->Arg(2);
 
 // Thread-count sweep on a DLv3+-like conv block (the speedup the whole
 // PR exists for). Run with -DCMAKE_BUILD_TYPE=Release; Arg = pool size.

@@ -28,9 +28,12 @@ struct Conv2dSpec {
   int pad = 0;
   int dilation = 1;
 
-  /// Output spatial size for an input extent and kernel extent.
+  /// Output spatial size for an input extent and kernel extent; 0 when
+  /// the dilated kernel does not fit in the padded input (every
+  /// convolution entry point rejects that as an empty output).
   [[nodiscard]] int out_extent(int in, int kernel) const noexcept {
     const int effective = dilation * (kernel - 1) + 1;
+    if (in + 2 * pad < effective) return 0;
     return (in + 2 * pad - effective) / stride + 1;
   }
 };

@@ -20,14 +20,13 @@ namespace dlscale::tensor::micro {
 namespace {
 
 /// k-block length: kKC rows of B stay cache resident across the row loop.
-/// Shared by both paths — the block boundaries are part of the
+/// Shared by every path — the block boundaries are part of the
 /// per-element accumulation order for gemm_nn, so the scalar twin and the
-/// AVX2 kernel must agree on them.
+/// vector kernels must agree on them.
 constexpr int kKC = 128;
 
 #if DLSCALE_SIMD_X86
-/// Vector width (floats per YMM lane group) and register row-block.
-constexpr int kNR = 8;
+/// Register row-block of the vector GEMM and int8 kernels.
 constexpr int kMR = 4;
 
 /// Per-thread transpose-pack scratch for gemm_nt_acc, grown monotonically
@@ -43,11 +42,15 @@ float* pack_scratch(std::size_t n) {
 //
 // These are the seed kernels, unchanged: they define the reference
 // accumulation order (k ascending per output element, zeros in A
-// skipped) that the AVX2 path reproduces bit for bit.
+// skipped) that the vector paths reproduce bit for bit. The GEMM twins
+// are kept out of line so their loops are laid out on their own rather
+// than inside the three-way dispatcher (inlined there, the gemm_nn inner
+// loop picked up a spill and straddled a fetch boundary, ~1.3x slower).
 
 namespace scalar {
 
-void gemm_nn(const float* a, const float* b, float* c, int rows, int k, int n) {
+[[gnu::noinline]] void gemm_nn(const float* a, const float* b, float* c, int rows, int k,
+                               int n) {
   for (int kb = 0; kb < k; kb += kKC) {
     const int kend = std::min(k, kb + kKC);
     for (int i = 0; i < rows; ++i) {
@@ -63,8 +66,8 @@ void gemm_nn(const float* a, const float* b, float* c, int rows, int k, int n) {
   }
 }
 
-void gemm_tn(const float* a, const float* b, float* c, int i0, int i1, int m,
-             int k, int n) {
+[[gnu::noinline]] void gemm_tn(const float* a, const float* b, float* c, int i0, int i1,
+                               int m, int k, int n) {
   for (int kk = 0; kk < k; ++kk) {
     const float* arow = a + static_cast<std::size_t>(kk) * m;
     const float* brow = b + static_cast<std::size_t>(kk) * n;
@@ -77,8 +80,8 @@ void gemm_tn(const float* a, const float* b, float* c, int i0, int i1, int m,
   }
 }
 
-void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
-                 int n) {
+[[gnu::noinline]] void gemm_nt_acc(const float* a, const float* b, float* c, int rows,
+                                   int k, int n) {
   for (int i = 0; i < rows; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     for (int j = 0; j < n; ++j) {
@@ -200,263 +203,287 @@ void transpose_u8(const std::uint8_t* src, int rows, int cols,
 
 }  // namespace scalar
 
-// ---- AVX2 path ------------------------------------------------------------
+// ---- vector GEMM panels ---------------------------------------------------
 //
-// Compiled with per-function target attributes so the TU itself stays
-// executable on any x86-64; only the dispatcher can reach these, and only
-// after CPUID confirms AVX2. No FMA: GEMM terms are _mm256_mul_ps
-// followed by _mm256_add_ps so every rounding matches the scalar twin.
+// Each panel body is written once over GCC vector types and instantiated
+// at two widths: 8 lanes (YMM) inside the target("avx2") entry points and
+// 16 lanes (ZMM) inside the target("avx512f") ones. The bodies carry no
+// target of their own; being always_inline, every instantiation is
+// compiled with the ISA of the entry point it lands in, so the TU itself
+// stays executable on any x86-64 and only the dispatcher reaches vector
+// code, after CPUID confirms it. GEMM terms are a vector mul followed by
+// a vector add: -ffp-contract=off keeps them unfused even under avx512f,
+// which permits FMA, so every rounding matches the scalar twin.
 
 #if DLSCALE_SIMD_X86
 
-namespace avx2 {
+namespace vec {
 
-#define DLSCALE_AVX2 __attribute__((target("avx2")))
+typedef float F8 __attribute__((vector_size(32)));
+typedef float F16 __attribute__((vector_size(64)));
 
-/// One C row times an 8-column strip of B streamed in place (row stride
-/// ldb): crow[0..8) accumulates kc terms, k ascending, skipping zero A
-/// elements. `astride` walks A's k axis (1 for nn rows, m for tn columns).
-/// B is not packed: within one kKC block the strip touches at most kKC
-/// cache lines, which stay L1-resident across the row loop, and skipping
-/// the pack keeps single-digit-row calls (small parallel_for chunks)
-/// profitable.
-DLSCALE_AVX2 inline void row1x8(const float* akk, std::ptrdiff_t astride,
-                                const float* bk, int ldb, float* crow, int kc) {
-  __m256 acc = _mm256_loadu_ps(crow);
-  for (int kk = 0; kk < kc; ++kk, bk += ldb) {
-    const float aik = akk[static_cast<std::ptrdiff_t>(kk) * astride];
-    if (aik == 0.0f) continue;
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(aik), _mm256_loadu_ps(bk)));
-  }
-  _mm256_storeu_ps(crow, acc);
+template <class V>
+constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
+
+#define DLSCALE_VEC_INLINE [[gnu::always_inline]] inline
+
+template <class V>
+DLSCALE_VEC_INLINE void load(V& v, const float* p) {
+  __builtin_memcpy(&v, p, sizeof v);
 }
 
-/// kMR-row register-blocked variant: the B strip row is loaded once per k
-/// step and broadcast-multiplied into four accumulators.
-DLSCALE_AVX2 inline void rows4x8(const float* akk, std::ptrdiff_t astride,
-                                 std::ptrdiff_t arow_stride, const float* bk, int ldb,
-                                 float* crow, std::ptrdiff_t crow_stride, int kc) {
-  __m256 acc0 = _mm256_loadu_ps(crow);
-  __m256 acc1 = _mm256_loadu_ps(crow + crow_stride);
-  __m256 acc2 = _mm256_loadu_ps(crow + 2 * crow_stride);
-  __m256 acc3 = _mm256_loadu_ps(crow + 3 * crow_stride);
+template <class V>
+DLSCALE_VEC_INLINE void store(float* p, const V& v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+
+/// R rows x NV vectors of C accumulate kc terms, k ascending, skipping
+/// zero A elements. A element (row r, step kk) sits at
+/// akk[kk * astride + r * arow_stride] (astride 1 for nn rows, m for tn
+/// columns); B step kk is the strip at bk + kk * ldb. B is not packed:
+/// within one kKC block the strip touches at most kKC cache lines, which
+/// stay L1-resident across the row loop, and skipping the pack keeps
+/// single-digit-row calls (small parallel_for chunks) profitable. Each
+/// broadcast A element feeds all NV vectors, amortising the zero branch
+/// over the panel width. The non-zero side is marked likely (A is the
+/// weight matrix in every conv GEMM): left to itself GCC laid the skips
+/// out as a chain of taken jumps, and gemm_tn ran ~1.5x slower.
+template <class V, int R, int NV>
+DLSCALE_VEC_INLINE void panel(const float* akk, std::ptrdiff_t astride,
+                              std::ptrdiff_t arow_stride, const float* bk, int ldb,
+                              float* crow, std::ptrdiff_t crow_stride, int kc) {
+  constexpr int L = kLanes<V>;
+  V acc[R][NV];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) load(acc[r][v], crow + r * crow_stride + v * L);
+  }
   for (int kk = 0; kk < kc; ++kk, bk += ldb) {
-    const __m256 bv = _mm256_loadu_ps(bk);
+    V bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) load(bv[v], bk + v * L);
     const float* ak = akk + static_cast<std::ptrdiff_t>(kk) * astride;
-    const float a0 = ak[0];
-    if (a0 != 0.0f) acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_set1_ps(a0), bv));
-    const float a1 = ak[arow_stride];
-    if (a1 != 0.0f) acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_set1_ps(a1), bv));
-    const float a2 = ak[2 * arow_stride];
-    if (a2 != 0.0f) acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_set1_ps(a2), bv));
-    const float a3 = ak[3 * arow_stride];
-    if (a3 != 0.0f) acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_set1_ps(a3), bv));
-  }
-  _mm256_storeu_ps(crow, acc0);
-  _mm256_storeu_ps(crow + crow_stride, acc1);
-  _mm256_storeu_ps(crow + 2 * crow_stride, acc2);
-  _mm256_storeu_ps(crow + 3 * crow_stride, acc3);
-}
-
-/// Main micro-kernel: kMR rows x 16 columns (two YMM lane groups), eight
-/// live accumulators. Each broadcast A element feeds both halves, so the
-/// per-row zero branch cost is amortised over twice the output width.
-DLSCALE_AVX2 inline void rows4x16(const float* akk, std::ptrdiff_t astride,
-                                  std::ptrdiff_t arow_stride, const float* bk, int ldb,
-                                  float* crow, std::ptrdiff_t crow_stride, int kc) {
-  __m256 acc0a = _mm256_loadu_ps(crow);
-  __m256 acc0b = _mm256_loadu_ps(crow + 8);
-  __m256 acc1a = _mm256_loadu_ps(crow + crow_stride);
-  __m256 acc1b = _mm256_loadu_ps(crow + crow_stride + 8);
-  __m256 acc2a = _mm256_loadu_ps(crow + 2 * crow_stride);
-  __m256 acc2b = _mm256_loadu_ps(crow + 2 * crow_stride + 8);
-  __m256 acc3a = _mm256_loadu_ps(crow + 3 * crow_stride);
-  __m256 acc3b = _mm256_loadu_ps(crow + 3 * crow_stride + 8);
-  for (int kk = 0; kk < kc; ++kk, bk += ldb) {
-    const __m256 bva = _mm256_loadu_ps(bk);
-    const __m256 bvb = _mm256_loadu_ps(bk + 8);
-    const float* ak = akk + static_cast<std::ptrdiff_t>(kk) * astride;
-    const float a0 = ak[0];
-    if (a0 != 0.0f) {
-      const __m256 v = _mm256_set1_ps(a0);
-      acc0a = _mm256_add_ps(acc0a, _mm256_mul_ps(v, bva));
-      acc0b = _mm256_add_ps(acc0b, _mm256_mul_ps(v, bvb));
-    }
-    const float a1 = ak[arow_stride];
-    if (a1 != 0.0f) {
-      const __m256 v = _mm256_set1_ps(a1);
-      acc1a = _mm256_add_ps(acc1a, _mm256_mul_ps(v, bva));
-      acc1b = _mm256_add_ps(acc1b, _mm256_mul_ps(v, bvb));
-    }
-    const float a2 = ak[2 * arow_stride];
-    if (a2 != 0.0f) {
-      const __m256 v = _mm256_set1_ps(a2);
-      acc2a = _mm256_add_ps(acc2a, _mm256_mul_ps(v, bva));
-      acc2b = _mm256_add_ps(acc2b, _mm256_mul_ps(v, bvb));
-    }
-    const float a3 = ak[3 * arow_stride];
-    if (a3 != 0.0f) {
-      const __m256 v = _mm256_set1_ps(a3);
-      acc3a = _mm256_add_ps(acc3a, _mm256_mul_ps(v, bva));
-      acc3b = _mm256_add_ps(acc3b, _mm256_mul_ps(v, bvb));
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float a = ak[r * arow_stride];
+      if (__builtin_expect(a != 0.0f, 1)) {
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) acc[r][v] = acc[r][v] + bv[v] * a;
+      }
     }
   }
-  _mm256_storeu_ps(crow, acc0a);
-  _mm256_storeu_ps(crow + 8, acc0b);
-  _mm256_storeu_ps(crow + crow_stride, acc1a);
-  _mm256_storeu_ps(crow + crow_stride + 8, acc1b);
-  _mm256_storeu_ps(crow + 2 * crow_stride, acc2a);
-  _mm256_storeu_ps(crow + 2 * crow_stride + 8, acc2b);
-  _mm256_storeu_ps(crow + 3 * crow_stride, acc3a);
-  _mm256_storeu_ps(crow + 3 * crow_stride + 8, acc3b);
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) store(crow + r * crow_stride + v * L, acc[r][v]);
+  }
 }
 
-/// Shared nn/tn panel driver over one kKC block: 16-wide panels first,
-/// then one 8-wide panel if eight or more columns remain. Returns the
-/// first column not covered by vector panels (the scalar tail start).
-/// A addressing: element (i, kb + kk) sits at
-/// a_base + i * arow_stride + kk * astride.
-DLSCALE_AVX2 inline int gemm_block_panels(const float* a_base, std::ptrdiff_t astride,
-                                          std::ptrdiff_t arow_stride, const float* bk,
-                                          float* c, int rows, int n, int kc) {
+/// kMR-row blocks of one NV-vector column strip, then single leftover
+/// rows. B strip and C start at the strip's first column.
+template <class V, int NV>
+DLSCALE_VEC_INLINE void strip(const float* a_base, std::ptrdiff_t astride,
+                              std::ptrdiff_t arow_stride, const float* bk, float* c, int rows,
+                              int n, int kc) {
+  int i = 0;
+  for (; i + kMR <= rows; i += kMR) {
+    panel<V, kMR, NV>(a_base + i * arow_stride, astride, arow_stride, bk, n,
+                      c + static_cast<std::size_t>(i) * n, n, kc);
+  }
+  for (; i < rows; ++i) {
+    panel<V, 1, NV>(a_base + i * arow_stride, astride, arow_stride, bk, n,
+                    c + static_cast<std::size_t>(i) * n, n, kc);
+  }
+}
+
+/// Shared nn/tn loop over one kKC block, from column jp on: strips of
+/// 2L columns, then one of L if that many remain. Returns the first
+/// column not covered (the next narrower width, or the scalar tail,
+/// starts there). A addressing as in panel(), with row i at
+/// a_base + i * arow_stride.
+template <class V>
+DLSCALE_VEC_INLINE int block_panels(const float* a_base, std::ptrdiff_t astride,
+                                    std::ptrdiff_t arow_stride, const float* bk, float* c,
+                                    int rows, int n, int kc, int jp) {
+  constexpr int L = kLanes<V>;
+  for (; jp + 2 * L <= n; jp += 2 * L) {
+    strip<V, 2>(a_base, astride, arow_stride, bk + jp, c + jp, rows, n, kc);
+  }
+  for (; jp + L <= n; jp += L) {
+    strip<V, 1>(a_base, astride, arow_stride, bk + jp, c + jp, rows, n, kc);
+  }
+  return jp;
+}
+
+/// Column tail [jp, n) of one kKC block: the scalar twin restricted to
+/// those columns, same per-element k order, so identity is preserved.
+DLSCALE_VEC_INLINE void block_tail(const float* a_base, std::ptrdiff_t astride,
+                                   std::ptrdiff_t arow_stride, const float* bk, float* c,
+                                   int rows, int n, int kc, int jp) {
+  for (int i = 0; i < rows; ++i) {
+    float* crow = c + static_cast<std::size_t>(i) * n;
+    for (int kk = 0; kk < kc; ++kk) {
+      const float aik = a_base[i * arow_stride + static_cast<std::ptrdiff_t>(kk) * astride];
+      if (aik == 0.0f) continue;
+      const float* brow = bk + static_cast<std::size_t>(kk) * n;
+      for (int j = jp; j < n; ++j) crow[j] += aik * brow[j];
+    }
+  }
+}
+
+/// One kKC block through the panel widths Vs (widest first), then the
+/// scalar tail.
+template <class... Vs>
+DLSCALE_VEC_INLINE void gemm_block(const float* a_base, std::ptrdiff_t astride,
+                                   std::ptrdiff_t arow_stride, const float* bk, float* c,
+                                   int rows, int n, int kc) {
   int jp = 0;
-  for (; jp + 2 * kNR <= n; jp += 2 * kNR) {
-    int i = 0;
-    for (; i + kMR <= rows; i += kMR) {
-      rows4x16(a_base + i * arow_stride, astride, arow_stride, bk + jp, n,
-               c + static_cast<std::size_t>(i) * n + jp, n, kc);
-    }
-    for (; i < rows; ++i) {
-      row1x8(a_base + i * arow_stride, astride, bk + jp, n,
-             c + static_cast<std::size_t>(i) * n + jp, kc);
-      row1x8(a_base + i * arow_stride, astride, bk + jp + kNR, n,
-             c + static_cast<std::size_t>(i) * n + jp + kNR, kc);
-    }
+  ((jp = block_panels<Vs>(a_base, astride, arow_stride, bk, c, rows, n, kc, jp)), ...);
+  if (jp < n) block_tail(a_base, astride, arow_stride, bk, c, rows, n, kc, jp);
+}
+
+template <class... Vs>
+DLSCALE_VEC_INLINE void gemm_nn(const float* a, const float* b, float* c, int rows, int k,
+                                int n) {
+  for (int kb = 0; kb < k; kb += kKC) {
+    gemm_block<Vs...>(a + kb, 1, k, b + static_cast<std::size_t>(kb) * n, c, rows, n,
+                      std::min(k - kb, kKC));
   }
-  for (; jp + kNR <= n; jp += kNR) {
+}
+
+template <class... Vs>
+DLSCALE_VEC_INLINE void gemm_tn(const float* a, const float* b, float* c, int i0, int i1,
+                                int m, int k, int n) {
+  // Restructured from the scalar twin's kk-outer nest to panel form; each
+  // c element still accumulates with kk strictly ascending (kb blocks in
+  // order, kk in order inside a block), so results are bitwise equal.
+  for (int kb = 0; kb < k; kb += kKC) {
+    gemm_block<Vs...>(a + static_cast<std::size_t>(kb) * m + i0, m, 1,
+                      b + static_cast<std::size_t>(kb) * n, c, i1 - i0, n,
+                      std::min(k - kb, kKC));
+  }
+}
+
+/// R rows of C times one transpose-packed L-column strip of B^T: each
+/// lane runs the scalar kernel's exact local k-ascending dot product,
+/// then lands in c with one add — identical to the scalar `c += acc`.
+template <class V, int R>
+DLSCALE_VEC_INLINE void nt_panel(const float* a, int k, const float* bp, float* c, int ldc) {
+  constexpr int L = kLanes<V>;
+  V acc[R] = {};
+  for (int kk = 0; kk < k; ++kk) {
+    V bv;
+    load(bv, bp + static_cast<std::size_t>(kk) * L);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) acc[r] = acc[r] + bv * a[static_cast<std::size_t>(r) * k + kk];
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    V cv;
+    load(cv, c + static_cast<std::size_t>(r) * ldc);
+    store(c + static_cast<std::size_t>(r) * ldc, cv + acc[r]);
+  }
+}
+
+/// gemm_nt_acc's L-column strips from column jp on; returns the first
+/// column not covered.
+template <class V>
+DLSCALE_VEC_INLINE int nt_panels(const float* a, const float* b, float* c, int rows, int k,
+                                 int n, int jp) {
+  constexpr int L = kLanes<V>;
+  if (jp + L > n) return jp;
+  float* bp = pack_scratch(static_cast<std::size_t>(std::max(k, 1)) * L);
+  for (; jp + L <= n; jp += L) {
+    // Transpose-pack: bp[kk][lane] = b[(jp+lane)][kk].
+    for (int lane = 0; lane < L; ++lane) {
+      const float* brow = b + static_cast<std::size_t>(jp + lane) * k;
+      for (int kk = 0; kk < k; ++kk) bp[static_cast<std::size_t>(kk) * L + lane] = brow[kk];
+    }
     int i = 0;
     for (; i + kMR <= rows; i += kMR) {
-      rows4x8(a_base + i * arow_stride, astride, arow_stride, bk + jp, n,
-              c + static_cast<std::size_t>(i) * n + jp, n, kc);
+      nt_panel<V, kMR>(a + static_cast<std::size_t>(i) * k, k, bp,
+                       c + static_cast<std::size_t>(i) * n + jp, n);
     }
     for (; i < rows; ++i) {
-      row1x8(a_base + i * arow_stride, astride, bk + jp, n,
-             c + static_cast<std::size_t>(i) * n + jp, kc);
+      nt_panel<V, 1>(a + static_cast<std::size_t>(i) * k, k, bp,
+                     c + static_cast<std::size_t>(i) * n + jp, n);
     }
   }
   return jp;
 }
 
-DLSCALE_AVX2 void gemm_nn(const float* a, const float* b, float* c, int rows,
+template <class... Vs>
+DLSCALE_VEC_INLINE void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
+                                    int n) {
+  int jp = 0;
+  ((jp = nt_panels<Vs>(a, b, c, rows, k, n, jp)), ...);
+  for (int i = 0; i < rows; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * k;
+    for (int j = jp; j < n; ++j) {
+      const float* brow = b + static_cast<std::size_t>(j) * k;
+      float acc = 0.0f;
+      for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
+      c[static_cast<std::size_t>(i) * n + j] += acc;
+    }
+  }
+}
+
+#undef DLSCALE_VEC_INLINE
+
+}  // namespace vec
+
+// ---- AVX-512 path ---------------------------------------------------------
+//
+// The fp32 GEMMs only: 4x32 and 4x16 register blocks of ZMM columns, with
+// 8-lane panels for a remaining 8..15 columns. Everything else runs the
+// AVX2 kernels at this level.
+
+namespace avx512 {
+
+#define DLSCALE_AVX512 __attribute__((target("avx512f")))
+
+DLSCALE_AVX512 void gemm_nn(const float* a, const float* b, float* c, int rows, int k,
+                            int n) {
+  vec::gemm_nn<vec::F16, vec::F8>(a, b, c, rows, k, n);
+}
+
+DLSCALE_AVX512 void gemm_tn(const float* a, const float* b, float* c, int i0, int i1, int m,
+                            int k, int n) {
+  vec::gemm_tn<vec::F16, vec::F8>(a, b, c, i0, i1, m, k, n);
+}
+
+DLSCALE_AVX512 void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
+                                int n) {
+  vec::gemm_nt_acc<vec::F16, vec::F8>(a, b, c, rows, k, n);
+}
+
+#undef DLSCALE_AVX512
+
+}  // namespace avx512
+
+// ---- AVX2 path ------------------------------------------------------------
+//
+// 4x16 and 4x8 register blocks of YMM columns for the GEMMs, hand-written
+// intrinsics for the rest. No FMA: target("avx2") excludes it, and every
+// term is a mul followed by an add.
+
+namespace avx2 {
+
+#define DLSCALE_AVX2 __attribute__((target("avx2")))
+
+DLSCALE_AVX2 void gemm_nn(const float* a, const float* b, float* c, int rows, int k, int n) {
+  vec::gemm_nn<vec::F8>(a, b, c, rows, k, n);
+}
+
+DLSCALE_AVX2 void gemm_tn(const float* a, const float* b, float* c, int i0, int i1, int m,
                           int k, int n) {
-  for (int kb = 0; kb < k; kb += kKC) {
-    const int kc = std::min(k - kb, kKC);
-    const float* bk = b + static_cast<std::size_t>(kb) * n;
-    const int jp = gemm_block_panels(a + kb, 1, k, bk, c, rows, n, kc);
-    if (jp < n) {
-      // Column tail: the scalar twin restricted to [jp, n). Same
-      // per-element k order, so identity is preserved.
-      const int kend = kb + kc;
-      for (int i = 0; i < rows; ++i) {
-        const float* arow = a + static_cast<std::size_t>(i) * k;
-        float* crow = c + static_cast<std::size_t>(i) * n;
-        for (int kk = kb; kk < kend; ++kk) {
-          const float aik = arow[kk];
-          if (aik == 0.0f) continue;
-          const float* brow = b + static_cast<std::size_t>(kk) * n;
-          for (int j = jp; j < n; ++j) crow[j] += aik * brow[j];
-        }
-      }
-    }
-  }
+  vec::gemm_tn<vec::F8>(a, b, c, i0, i1, m, k, n);
 }
 
-DLSCALE_AVX2 void gemm_tn(const float* a, const float* b, float* c, int i0,
-                          int i1, int m, int k, int n) {
-  // Restructured from the scalar twin's kk-outer nest to panel form; each
-  // c element still accumulates with kk strictly ascending (kb blocks in
-  // order, kk in order inside a block), so results are bitwise equal.
-  const int rows = i1 - i0;
-  for (int kb = 0; kb < k; kb += kKC) {
-    const int kc = std::min(k - kb, kKC);
-    const float* bk = b + static_cast<std::size_t>(kb) * n;
-    const int jp = gemm_block_panels(a + static_cast<std::size_t>(kb) * m + i0, m, 1, bk,
-                                     c, rows, n, kc);
-    if (jp < n) {
-      const int kend = kb + kc;
-      for (int i = 0; i < rows; ++i) {
-        float* crow = c + static_cast<std::size_t>(i) * n;
-        for (int kk = kb; kk < kend; ++kk) {
-          const float aki = a[static_cast<std::size_t>(kk) * m + (i0 + i)];
-          if (aki == 0.0f) continue;
-          const float* brow = b + static_cast<std::size_t>(kk) * n;
-          for (int j = jp; j < n; ++j) crow[j] += aki * brow[j];
-        }
-      }
-    }
-  }
-}
-
-DLSCALE_AVX2 void gemm_nt_acc(const float* a, const float* b, float* c,
-                              int rows, int k, int n) {
-  // Lanes are output columns j..j+7; each lane's accumulator runs the
-  // scalar kernel's exact local k-ascending dot product, then lands in c
-  // with one add — identical to the scalar `c += acc`.
-  const int n_main = n & ~(kNR - 1);
-  float* bp = pack_scratch(static_cast<std::size_t>(std::max(k, 1)) * kNR);
-  for (int jp = 0; jp < n_main; jp += kNR) {
-    // Transpose-pack: bp[kk][lane] = b[(jp+lane)][kk].
-    for (int lane = 0; lane < kNR; ++lane) {
-      const float* brow = b + static_cast<std::size_t>(jp + lane) * k;
-      for (int kk = 0; kk < k; ++kk) {
-        bp[static_cast<std::size_t>(kk) * kNR + lane] = brow[kk];
-      }
-    }
-    int i = 0;
-    for (; i + kMR <= rows; i += kMR) {
-      const float* a0 = a + static_cast<std::size_t>(i) * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      for (int kk = 0; kk < k; ++kk) {
-        const __m256 bv = _mm256_loadu_ps(bp + static_cast<std::size_t>(kk) * kNR);
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_set1_ps(a0[kk]), bv));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_set1_ps(a1[kk]), bv));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_set1_ps(a2[kk]), bv));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_set1_ps(a3[kk]), bv));
-      }
-      float* c0 = c + static_cast<std::size_t>(i) * n + jp;
-      _mm256_storeu_ps(c0, _mm256_add_ps(_mm256_loadu_ps(c0), acc0));
-      _mm256_storeu_ps(c0 + n, _mm256_add_ps(_mm256_loadu_ps(c0 + n), acc1));
-      _mm256_storeu_ps(c0 + 2 * n, _mm256_add_ps(_mm256_loadu_ps(c0 + 2 * n), acc2));
-      _mm256_storeu_ps(c0 + 3 * n, _mm256_add_ps(_mm256_loadu_ps(c0 + 3 * n), acc3));
-    }
-    for (; i < rows; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
-      __m256 acc = _mm256_setzero_ps();
-      for (int kk = 0; kk < k; ++kk) {
-        const __m256 bv = _mm256_loadu_ps(bp + static_cast<std::size_t>(kk) * kNR);
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(arow[kk]), bv));
-      }
-      float* crow = c + static_cast<std::size_t>(i) * n + jp;
-      _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc));
-    }
-  }
-  if (n_main < n) {
-    for (int i = 0; i < rows; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
-      for (int j = n_main; j < n; ++j) {
-        const float* brow = b + static_cast<std::size_t>(j) * k;
-        float acc = 0.0f;
-        for (int kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-        c[static_cast<std::size_t>(i) * n + j] += acc;
-      }
-    }
-  }
+DLSCALE_AVX2 void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
+                              int n) {
+  vec::gemm_nt_acc<vec::F8>(a, b, c, rows, k, n);
 }
 
 DLSCALE_AVX2 void add_inplace(float* a, const float* b, std::int64_t n) {
@@ -717,40 +744,44 @@ DLSCALE_AVX2 void transpose_u8(const std::uint8_t* src, int rows, int cols,
 
 #endif  // DLSCALE_SIMD_X86
 
-inline bool use_avx2() {
-#if DLSCALE_SIMD_X86
-  return util::simd_level() == util::SimdLevel::kAvx2;
-#else
-  return false;
-#endif
-}
 
 }  // namespace
 
 // ---- dispatchers ----------------------------------------------------------
 
-void gemm_nn(const float* a, const float* b, float* c, int rows, int k, int n) {
+// The fp32 GEMMs are the only kernels with a tier per SIMD level; this
+// is the one place that maps the active level to the namespace that
+// serves it.
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::gemm_nn(a, b, c, rows, k, n);
+#define DLSCALE_GEMM_DISPATCH(fn, ...)                  \
+  switch (util::simd_level()) {                         \
+    case util::SimdLevel::kAvx512:                      \
+      return avx512::fn(__VA_ARGS__);                   \
+    case util::SimdLevel::kAvx2:                        \
+      return avx2::fn(__VA_ARGS__);                     \
+    case util::SimdLevel::kScalar:                      \
+      break;                                            \
+  }                                                     \
+  scalar::fn(__VA_ARGS__)
+#else
+#define DLSCALE_GEMM_DISPATCH(fn, ...) scalar::fn(__VA_ARGS__)
 #endif
-  scalar::gemm_nn(a, b, c, rows, k, n);
+
+void gemm_nn(const float* a, const float* b, float* c, int rows, int k, int n) {
+  DLSCALE_GEMM_DISPATCH(gemm_nn, a, b, c, rows, k, n);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, int i0, int i1, int m,
              int k, int n) {
-#if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::gemm_tn(a, b, c, i0, i1, m, k, n);
-#endif
-  scalar::gemm_tn(a, b, c, i0, i1, m, k, n);
+  DLSCALE_GEMM_DISPATCH(gemm_tn, a, b, c, i0, i1, m, k, n);
 }
 
 void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
                  int n) {
-#if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::gemm_nt_acc(a, b, c, rows, k, n);
-#endif
-  scalar::gemm_nt_acc(a, b, c, rows, k, n);
+  DLSCALE_GEMM_DISPATCH(gemm_nt_acc, a, b, c, rows, k, n);
 }
+
+#undef DLSCALE_GEMM_DISPATCH
 
 std::size_t gemm_s8u8_packed_size(int k, int n) {
   const std::size_t kq = (static_cast<std::size_t>(std::max(k, 0)) + 3) / 4;
@@ -792,7 +823,7 @@ void gemm_s8u8(const std::uint8_t* a, int lda, const std::int8_t* packed_b,
         " is below the quad-padded depth " + std::to_string((k + 3) & ~3));
   }
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::gemm_s8u8(a, lda, packed_b, c, rows, k, n);
+  if (util::simd_avx2()) return avx2::gemm_s8u8(a, lda, packed_b, c, rows, k, n);
 #endif
   scalar::gemm_s8u8(a, lda, packed_b, c, rows, k, n);
 }
@@ -800,7 +831,7 @@ void gemm_s8u8(const std::uint8_t* a, int lda, const std::int8_t* packed_b,
 void quantize_u8(const float* src, std::uint8_t* dst, std::int64_t n,
                  float inv_scale, std::int32_t zero_point) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::quantize_u8(src, dst, n, inv_scale, zero_point);
+  if (util::simd_avx2()) return avx2::quantize_u8(src, dst, n, inv_scale, zero_point);
 #endif
   scalar::quantize_u8(src, dst, n, inv_scale, zero_point);
 }
@@ -812,42 +843,42 @@ void transpose_u8(const std::uint8_t* src, int rows, int cols,
         "transpose_u8: need rows, cols >= 0 and dst_stride >= rows");
   }
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::transpose_u8(src, rows, cols, dst, dst_stride);
+  if (util::simd_avx2()) return avx2::transpose_u8(src, rows, cols, dst, dst_stride);
 #endif
   scalar::transpose_u8(src, rows, cols, dst, dst_stride);
 }
 
 void add_inplace(float* a, const float* b, std::int64_t n) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::add_inplace(a, b, n);
+  if (util::simd_avx2()) return avx2::add_inplace(a, b, n);
 #endif
   scalar::add_inplace(a, b, n);
 }
 
 void add_scalar_inplace(float* p, float v, std::int64_t n) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::add_scalar_inplace(p, v, n);
+  if (util::simd_avx2()) return avx2::add_scalar_inplace(p, v, n);
 #endif
   scalar::add_scalar_inplace(p, v, n);
 }
 
 void scale_inplace(float* p, float s, std::int64_t n) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::scale_inplace(p, s, n);
+  if (util::simd_avx2()) return avx2::scale_inplace(p, s, n);
 #endif
   scalar::scale_inplace(p, s, n);
 }
 
 void relu_inplace(float* p, std::int64_t n) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::relu_inplace(p, n);
+  if (util::simd_avx2()) return avx2::relu_inplace(p, n);
 #endif
   scalar::relu_inplace(p, n);
 }
 
 void relu_zero_where_nonpositive(const float* x, float* g, std::int64_t n) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return avx2::relu_zero_where_nonpositive(x, g, n);
+  if (util::simd_avx2()) return avx2::relu_zero_where_nonpositive(x, g, n);
 #endif
   scalar::relu_zero_where_nonpositive(x, g, n);
 }
@@ -856,7 +887,7 @@ void sgd_momentum_update(float* value, float* velocity, const float* grad,
                          float clip_scale, float weight_decay, float momentum,
                          float lr, std::int64_t n) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) {
+  if (util::simd_avx2()) {
     return avx2::sgd_momentum_update(value, velocity, grad, clip_scale,
                                      weight_decay, momentum, lr, n);
   }
@@ -865,9 +896,6 @@ void sgd_momentum_update(float* value, float* velocity, const float* grad,
                               momentum, lr, n);
 }
 
-const char* active_path() {
-  return util::simd_level_name(use_avx2() ? util::SimdLevel::kAvx2
-                                          : util::SimdLevel::kScalar);
-}
+const char* active_path() { return util::simd_level_name(util::simd_level()); }
 
 }  // namespace dlscale::tensor::micro

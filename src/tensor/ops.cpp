@@ -33,14 +33,6 @@ void require(bool condition, const char* message) {
   if (!condition) throw std::invalid_argument(message);
 }
 
-/// Floor/ceil integer division for possibly-negative numerators
-/// (positive divisors), used to clip im2col column ranges.
-inline int div_floor(int a, int b) {
-  const int q = a / b, r = a % b;
-  return (r != 0 && (r < 0) != (b < 0)) ? q - 1 : q;
-}
-inline int div_ceil(int a, int b) { return -div_floor(-a, b); }
-
 /// Chunk length for parallelising `rows` units of `work_per_row` fused
 /// mul-adds each: targets ~64k ops per chunk so pool dispatch overhead is
 /// amortised. Pure function of the shape — never of the thread count.
@@ -138,39 +130,89 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 // convolution
 // ---------------------------------------------------------------------------
 
+// Both directions work on a zero-padded copy of one input plane, so every
+// (ky, kx) tap is a branch-free strided walk: tap (ky, kx) of output
+// (oy, ox) is padded pixel (oy*stride + ky*dilation, ox*stride +
+// kx*dilation), always in range by the definition of out_extent (which
+// is 0, an empty patch, when the dilated kernel does not fit). With
+// pad == 0 the plane itself is the padded plane and no copy is made.
+
+namespace {
+
+/// Geometry of the padded plane walk for one (input plane, kernel, spec).
+struct PaddedPlane {
+  int h, w, out_h, out_w, pw;
+  int stride, dilation, pad;
+
+  PaddedPlane(int in_h, int in_w, int kh, int kw, const Conv2dSpec& spec)
+      : h(in_h),
+        w(in_w),
+        out_h(spec.out_extent(in_h, kh)),
+        out_w(spec.out_extent(in_w, kw)),
+        pw(in_w + 2 * spec.pad),
+        stride(spec.stride),
+        dilation(spec.dilation),
+        pad(spec.pad) {}
+
+  [[nodiscard]] std::size_t padded_size() const {
+    return static_cast<std::size_t>(h + 2 * pad) * pw;
+  }
+  /// First padded pixel tap (ky, kx) reads; output row oy starts at
+  /// tap + oy * row_step().
+  [[nodiscard]] std::size_t tap(int ky, int kx) const {
+    return static_cast<std::size_t>(ky) * dilation * pw + static_cast<std::size_t>(kx) * dilation;
+  }
+  [[nodiscard]] std::size_t row_step() const { return static_cast<std::size_t>(stride) * pw; }
+  [[nodiscard]] bool empty() const { return out_h == 0 || out_w == 0; }
+  /// Copies plane (h x w) into the interior of padded (border untouched).
+  void fill_interior(float* padded, const float* plane) const {
+    for (int y = 0; y < h; ++y) {
+      const float* src = plane + static_cast<std::size_t>(y) * w;
+      std::copy(src, src + w, padded + static_cast<std::size_t>(y + pad) * pw + pad);
+    }
+  }
+  /// Copies the interior of padded back out to plane (h x w).
+  void copy_interior(float* plane, const float* padded) const {
+    for (int y = 0; y < h; ++y) {
+      const float* src = padded + static_cast<std::size_t>(y + pad) * pw + pad;
+      std::copy(src, src + w, plane + static_cast<std::size_t>(y) * w);
+    }
+  }
+};
+
+}  // namespace
+
 void im2col(const Tensor& input, int sample, int kh, int kw, const Conv2dSpec& spec,
             float* cols, std::size_t row_stride) {
-  const int channels = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const int out_h = spec.out_extent(h, kh);
-  const int out_w = spec.out_extent(w, kw);
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const int channels = input.dim(1);
+  const PaddedPlane g(input.dim(2), input.dim(3), kh, kw, spec);
+  const std::size_t plane = static_cast<std::size_t>(g.h) * g.w;
+  if (g.empty()) return;
   const float* base = input.ptr() + static_cast<std::size_t>(sample) * channels * plane;
+  ScratchFrame frame(scratch());
+  float* padded = nullptr;
+  if (g.pad > 0) {
+    // The border is zeroed once; each channel overwrites only the interior.
+    padded = scratch().alloc<float>(g.padded_size());
+    std::fill(padded, padded + g.padded_size(), 0.0f);
+  }
   for (int c = 0; c < channels; ++c) {
-    const float* src_plane = base + static_cast<std::size_t>(c) * plane;
+    const float* src = base + static_cast<std::size_t>(c) * plane;
+    if (padded != nullptr) {
+      g.fill_interior(padded, src);
+      src = padded;
+    }
     for (int ky = 0; ky < kh; ++ky) {
       for (int kx = 0; kx < kw; ++kx) {
         const int row = (c * kh + ky) * kw + kx;
         float* dst = cols + static_cast<std::size_t>(row) * row_stride;
-        // ix = ox*stride + x_off; clip to the [0, w) window once per row.
-        const int x_off = kx * spec.dilation - spec.pad;
-        const int ox0 = std::min(out_w, std::max(0, div_ceil(-x_off, spec.stride)));
-        const int ox1 =
-            std::max(ox0, std::min(out_w, div_floor(w - 1 - x_off, spec.stride) + 1));
-        for (int oy = 0; oy < out_h; ++oy) {
-          const int iy = oy * spec.stride - spec.pad + ky * spec.dilation;
-          float* drow = dst + static_cast<std::size_t>(oy) * out_w;
-          if (iy < 0 || iy >= h) {
-            std::fill(drow, drow + out_w, 0.0f);
-            continue;
-          }
-          const float* srow = src_plane + static_cast<std::size_t>(iy) * w;
-          std::fill(drow, drow + ox0, 0.0f);
-          if (spec.stride == 1) {
-            std::copy(srow + ox0 + x_off, srow + ox1 + x_off, drow + ox0);
+        const float* tap = src + g.tap(ky, kx);
+        for (int oy = 0; oy < g.out_h; ++oy, dst += g.out_w, tap += g.row_step()) {
+          if (g.stride == 1) {
+            std::copy(tap, tap + g.out_w, dst);
           } else {
-            for (int ox = ox0; ox < ox1; ++ox) drow[ox] = srow[ox * spec.stride + x_off];
+            for (int ox = 0; ox < g.out_w; ++ox) dst[ox] = tap[ox * g.stride];
           }
-          std::fill(drow + ox1, drow + out_w, 0.0f);
         }
       }
     }
@@ -197,31 +239,45 @@ Tensor im2col(const Tensor& input, int sample, int kh, int kw, const Conv2dSpec&
 
 void col2im(const float* cols, Tensor& grad_input, int sample, int kh, int kw,
             const Conv2dSpec& spec) {
-  const int channels = grad_input.dim(1), h = grad_input.dim(2), w = grad_input.dim(3);
-  const int out_h = spec.out_extent(h, kh);
-  const int out_w = spec.out_extent(w, kw);
-  const int patch = out_h * out_w;
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const int channels = grad_input.dim(1);
+  const PaddedPlane g(grad_input.dim(2), grad_input.dim(3), kh, kw, spec);
+  const std::size_t plane = static_cast<std::size_t>(g.h) * g.w;
+  const std::size_t patch = static_cast<std::size_t>(g.out_h) * g.out_w;
+  if (g.empty()) return;
   float* base = grad_input.ptr() + static_cast<std::size_t>(sample) * channels * plane;
+  ScratchFrame frame(scratch());
+  // The mirror of im2col: each channel's interior is seeded with its
+  // current grad_input plane, every tap adds into the padded plane in
+  // the same per-element (ky, kx, oy, ox) order as a clipped walk would,
+  // and the interior is copied back. Border cells absorb the taps that
+  // land in padding and are never read.
+  float* padded = nullptr;
+  if (g.pad > 0) {
+    padded = scratch().alloc<float>(g.padded_size());
+    std::fill(padded, padded + g.padded_size(), 0.0f);
+  }
   for (int c = 0; c < channels; ++c) {
     float* dst_plane = base + static_cast<std::size_t>(c) * plane;
+    float* acc = dst_plane;
+    if (padded != nullptr) {
+      g.fill_interior(padded, dst_plane);
+      acc = padded;
+    }
     for (int ky = 0; ky < kh; ++ky) {
       for (int kx = 0; kx < kw; ++kx) {
         const int row = (c * kh + ky) * kw + kx;
         const float* src = cols + static_cast<std::size_t>(row) * patch;
-        const int x_off = kx * spec.dilation - spec.pad;
-        const int ox0 = std::min(out_w, std::max(0, div_ceil(-x_off, spec.stride)));
-        const int ox1 =
-            std::max(ox0, std::min(out_w, div_floor(w - 1 - x_off, spec.stride) + 1));
-        for (int oy = 0; oy < out_h; ++oy) {
-          const int iy = oy * spec.stride - spec.pad + ky * spec.dilation;
-          if (iy < 0 || iy >= h) continue;
-          const float* srow = src + static_cast<std::size_t>(oy) * out_w;
-          float* drow = dst_plane + static_cast<std::size_t>(iy) * w;
-          for (int ox = ox0; ox < ox1; ++ox) drow[ox * spec.stride + x_off] += srow[ox];
+        float* tap = acc + g.tap(ky, kx);
+        for (int oy = 0; oy < g.out_h; ++oy, src += g.out_w, tap += g.row_step()) {
+          if (g.stride == 1) {
+            for (int ox = 0; ox < g.out_w; ++ox) tap[ox] += src[ox];
+          } else {
+            for (int ox = 0; ox < g.out_w; ++ox) tap[ox * g.stride] += src[ox];
+          }
         }
       }
     }
+    if (padded != nullptr) g.copy_interior(dst_plane, padded);
   }
 }
 
@@ -230,6 +286,7 @@ void col2im(const Tensor& cols, Tensor& grad_input, int sample, int kh, int kw,
   const int channels = grad_input.dim(1), h = grad_input.dim(2), w = grad_input.dim(3);
   const int out_h = spec.out_extent(h, kh);
   const int out_w = spec.out_extent(w, kw);
+  require(out_h > 0 && out_w > 0, "col2im: empty output");
   require(cols.dim(0) == channels * kh * kw && cols.dim(1) == out_h * out_w,
           "col2im: shape mismatch");
   col2im(cols.ptr(), grad_input, sample, kh, kw, spec);
@@ -341,9 +398,19 @@ Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
 
 Tensor conv2d_backward(const Tensor& input, const Tensor& weight, const Tensor& grad_out,
                        const Conv2dSpec& spec, Tensor& grad_weight, Tensor* grad_bias) {
+  require(input.ndim() == 4 && weight.ndim() == 4 && grad_out.ndim() == 4,
+          "conv2d_backward: 4D input/weight/grad_out required");
   const int batch = input.dim(0), in_c = input.dim(1);
   const int out_c = weight.dim(0), kh = weight.dim(2), kw = weight.dim(3);
-  const int out_h = grad_out.dim(2), out_w = grad_out.dim(3);
+  require(weight.dim(1) == in_c, "conv2d_backward: channel mismatch");
+  // im2col writes the spec's patch, so a grad_out of any other extent
+  // would size the column buffers wrong; reject it before touching memory.
+  const int out_h = spec.out_extent(input.dim(2), kh);
+  const int out_w = spec.out_extent(input.dim(3), kw);
+  require(out_h > 0 && out_w > 0, "conv2d_backward: empty output");
+  require(grad_out.dim(0) == batch && grad_out.dim(1) == out_c && grad_out.dim(2) == out_h &&
+              grad_out.dim(3) == out_w,
+          "conv2d_backward: grad_out must be (N, out_c, outH, outW) of the forward");
   require(same_shape(grad_weight, weight), "conv2d_backward: grad_weight shape");
   const int patch = out_h * out_w;
   const int kdim = in_c * kh * kw;
@@ -455,9 +522,17 @@ Tensor depthwise_conv2d(const Tensor& input, const Tensor& weight, const Conv2dS
 Tensor depthwise_conv2d_backward(const Tensor& input, const Tensor& weight,
                                  const Tensor& grad_out, const Conv2dSpec& spec,
                                  Tensor& grad_weight) {
+  require(input.ndim() == 4 && weight.ndim() == 4 && grad_out.ndim() == 4,
+          "depthwise_conv2d_backward: 4D input/weight/grad_out required");
   const int batch = input.dim(0), channels = input.dim(1), h = input.dim(2), w = input.dim(3);
   const int kh = weight.dim(2), kw = weight.dim(3);
-  const int out_h = grad_out.dim(2), out_w = grad_out.dim(3);
+  require(weight.dim(0) == channels && weight.dim(1) == 1,
+          "depthwise_conv2d_backward: weight must be (C,1,kh,kw)");
+  const int out_h = spec.out_extent(h, kh);
+  const int out_w = spec.out_extent(w, kw);
+  require(grad_out.dim(0) == batch && grad_out.dim(1) == channels && grad_out.dim(2) == out_h &&
+              grad_out.dim(3) == out_w,
+          "depthwise_conv2d_backward: grad_out must be (N, C, outH, outW) of the forward");
   require(same_shape(grad_weight, weight), "depthwise_conv2d_backward: grad_weight shape");
 
   Tensor grad_input(input.shape());

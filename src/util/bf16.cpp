@@ -122,22 +122,18 @@ DLSCALE_BF16_AVX2 void bf16s_to_floats_avx2(const std::uint16_t* src,
 
 #endif  // DLSCALE_SIMD_X86
 
-#if DLSCALE_SIMD_X86
-inline bool use_avx2() { return simd_level() == SimdLevel::kAvx2; }
-#endif
-
 }  // namespace
 
 void floats_to_bf16s(const float* src, std::uint16_t* dst, std::size_t n) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return floats_to_bf16s_avx2(src, dst, n);
+  if (simd_avx2()) return floats_to_bf16s_avx2(src, dst, n);
 #endif
   floats_to_bf16s_scalar(src, dst, n);
 }
 
 void bf16s_to_floats(const std::uint16_t* src, float* dst, std::size_t n) {
 #if DLSCALE_SIMD_X86
-  if (use_avx2()) return bf16s_to_floats_avx2(src, dst, n);
+  if (simd_avx2()) return bf16s_to_floats_avx2(src, dst, n);
 #endif
   bf16s_to_floats_scalar(src, dst, n);
 }

@@ -16,7 +16,7 @@ std::atomic<int> g_startup{-1};
 
 SimdLevel clamp_to_detected(SimdLevel level) noexcept {
   const SimdLevel cap = detected_simd_level();
-  return static_cast<int>(level) <= static_cast<int>(cap) ? level : cap;
+  return level <= cap ? level : cap;
 }
 
 SimdLevel init_from_env() {
@@ -30,8 +30,10 @@ SimdLevel init_from_env() {
 
 SimdLevel detected_simd_level() noexcept {
 #if DLSCALE_SIMD_X86
-  static const bool avx2 = __builtin_cpu_supports("avx2");
-  return avx2 ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+  static const SimdLevel level = __builtin_cpu_supports("avx512f") ? SimdLevel::kAvx512
+                                 : __builtin_cpu_supports("avx2")  ? SimdLevel::kAvx2
+                                                                   : SimdLevel::kScalar;
+  return level;
 #else
   return SimdLevel::kScalar;
 #endif
@@ -72,10 +74,14 @@ SimdLevel set_simd_level(SimdLevel level) {
   return applied;
 }
 
-bool simd_f16c() { return simd_level() == SimdLevel::kAvx2 && detected_f16c(); }
+bool simd_avx2() { return simd_level() >= SimdLevel::kAvx2; }
+
+bool simd_f16c() { return simd_avx2() && detected_f16c(); }
 
 const char* simd_level_name(SimdLevel level) noexcept {
   switch (level) {
+    case SimdLevel::kAvx512:
+      return "avx512";
     case SimdLevel::kAvx2:
       return "avx2";
     case SimdLevel::kScalar:

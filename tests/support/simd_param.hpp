@@ -13,18 +13,19 @@
 
 namespace dlscale::testing {
 
-/// Every level the host hardware (and build) can run: always kScalar,
-/// plus kAvx2 when CPUID reports it. set_simd_level() clamps to the same
+/// Every level the host hardware (and build) can run: kScalar up to and
+/// including detected_simd_level(). set_simd_level() clamps to the same
 /// detection, so each returned level is actually exercisable.
 inline std::vector<util::SimdLevel> simd_levels_under_test() {
   std::vector<util::SimdLevel> levels{util::SimdLevel::kScalar};
-  if (util::detected_simd_level() == util::SimdLevel::kAvx2) {
-    levels.push_back(util::SimdLevel::kAvx2);
+  for (util::SimdLevel level : {util::SimdLevel::kAvx2, util::SimdLevel::kAvx512}) {
+    if (level <= util::detected_simd_level()) levels.push_back(level);
   }
   return levels;
 }
 
-/// Suffix generator for INSTANTIATE_TEST_SUITE_P: "scalar" / "avx2".
+/// Suffix generator for INSTANTIATE_TEST_SUITE_P: "scalar" / "avx2" /
+/// "avx512".
 inline std::string simd_param_name(
     const ::testing::TestParamInfo<util::SimdLevel>& info) {
   return util::simd_level_name(info.param);

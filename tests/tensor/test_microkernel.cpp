@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -59,10 +60,17 @@ struct GemmShape {
 
 // Odd shapes by design: n not a multiple of the 8-lane width (1, 3, 7, 9,
 // 13), k at the degenerate ends (0, 1) and past the kc=128 block edge
-// (129, 200), single-row A, and one comfortably blocked case.
+// (129, 200), single-row A, and one comfortably blocked case. The second
+// half reaches the wide panels: n on and just past the 16- and 32-column
+// strips (16, 32, 48, 64, 80, 256, plus 40 = 32 + one 8-lane panel),
+// rows at and around the 4-row register block (4, 5, 8, 33), and k at
+// the im2col depths the model produces (27, 720) and around the kc edge
+// (128, 129).
 const GemmShape kGemmShapes[] = {
-    {1, 1, 1},  {1, 0, 5},   {3, 1, 7},    {2, 5, 3},    {1, 129, 13},
-    {5, 37, 9}, {4, 128, 8}, {7, 200, 31}, {12, 64, 40}, {9, 130, 17},
+    {1, 1, 1},    {1, 0, 5},     {3, 1, 7},    {2, 5, 3},     {1, 129, 13},
+    {5, 37, 9},   {4, 128, 8},   {7, 200, 31}, {12, 64, 40},  {9, 130, 17},
+    {4, 27, 16},  {5, 128, 32},  {8, 129, 48}, {33, 27, 64},  {4, 720, 80},
+    {5, 129, 256}, {33, 720, 32}, {8, 128, 80}, {1, 27, 48},  {33, 128, 256},
 };
 
 /// Runs `body` under every level and returns one output vector per level.
@@ -316,12 +324,15 @@ TEST(SimdDispatch, StartupLevelHonorsEnvOverride) {
 
 TEST(SimdDispatch, SetLevelClampsToHardware) {
   const du::SimdLevel previous = du::simd_level();
-  const du::SimdLevel applied = du::set_simd_level(du::SimdLevel::kAvx2);
   // Never above what CPUID reports, and reachable even when the env knob
   // started the process in scalar mode (the clamp is to hardware, so the
-  // parameterized suites can still exercise AVX2 in the env rerun).
-  EXPECT_EQ(applied, du::detected_simd_level());
-  EXPECT_EQ(du::simd_level(), applied);
+  // parameterized suites can still exercise the vector tiers in the env
+  // rerun).
+  for (du::SimdLevel requested : {du::SimdLevel::kAvx2, du::SimdLevel::kAvx512}) {
+    const du::SimdLevel applied = du::set_simd_level(requested);
+    EXPECT_EQ(applied, std::min(requested, du::detected_simd_level()));
+    EXPECT_EQ(du::simd_level(), applied);
+  }
   EXPECT_EQ(du::set_simd_level(du::SimdLevel::kScalar), du::SimdLevel::kScalar);
   du::set_simd_level(previous);
 }
@@ -330,5 +341,18 @@ TEST(SimdDispatch, ActivePathTracksSelectedLevel) {
   for (du::SimdLevel level : simd_levels_under_test()) {
     ScopedSimdLevel scoped(level);
     EXPECT_STREQ(micro::active_path(), du::simd_level_name(level));
+  }
+}
+
+TEST(SimdDispatch, VectorTiersKeepTheAvx2PathsOfNonGemmKernels) {
+  // kAvx512 only adds GEMM panels. The int8 GEMM, quantize, transpose,
+  // elementwise and bf16 dispatchers all branch on simd_avx2(), and the
+  // fp16 ones on simd_f16c(): both must stay on at every vector tier, or
+  // an AVX-512 host would silently run those kernels' scalar twins.
+  for (du::SimdLevel level : simd_levels_under_test()) {
+    ScopedSimdLevel scoped(level);
+    const bool vector = level >= du::SimdLevel::kAvx2;
+    EXPECT_EQ(du::simd_avx2(), vector) << du::simd_level_name(level);
+    EXPECT_EQ(du::simd_f16c(), vector && du::detected_f16c()) << du::simd_level_name(level);
   }
 }

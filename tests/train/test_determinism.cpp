@@ -130,23 +130,28 @@ INSTANTIATE_TEST_SUITE_P(SimdLevels, Determinism,
                          dlscale::testing::simd_param_name);
 
 TEST(SimdDeterminism, TrainingBitwiseIdenticalAcrossSimdLevels) {
-  // The cross-level half of the contract: five SGD steps under the AVX2
-  // micro-kernels reproduce the scalar twins bit-for-bit.
+  // The cross-level half of the contract: five SGD steps under each
+  // vector tier reproduce the scalar twins bit-for-bit.
   if (du::detected_simd_level() == du::SimdLevel::kScalar) {
     GTEST_SKIP() << "host has no vector path to compare against";
   }
-  RunResult scalar, vector;
+  RunResult scalar;
   {
     dlscale::testing::ScopedSimdLevel scoped(du::SimdLevel::kScalar);
     scalar = train_five_steps(2);
   }
-  {
-    dlscale::testing::ScopedSimdLevel scoped(du::SimdLevel::kAvx2);
-    vector = train_five_steps(2);
+  for (du::SimdLevel level : dlscale::testing::simd_levels_under_test()) {
+    if (level == du::SimdLevel::kScalar) continue;
+    SCOPED_TRACE(du::simd_level_name(level));
+    RunResult vector;
+    {
+      dlscale::testing::ScopedSimdLevel scoped(level);
+      vector = train_five_steps(2);
+    }
+    expect_bitwise_equal(scalar.losses, vector.losses, "per-step losses");
+    expect_bitwise_equal(scalar.params, vector.params, "final parameters");
   }
   du::set_global_thread_count(1);
-  expect_bitwise_equal(scalar.losses, vector.losses, "per-step losses");
-  expect_bitwise_equal(scalar.params, vector.params, "final parameters");
 }
 
 TEST(SimdDeterminism, DistributedTrainingBitwiseIdenticalAcrossSimdLevels) {
@@ -182,12 +187,16 @@ TEST(SimdDeterminism, DistributedTrainingBitwiseIdenticalAcrossSimdLevels) {
   };
 
   const auto scalar = run(du::SimdLevel::kScalar);
-  const auto vector = run(du::SimdLevel::kAvx2);
-  ASSERT_EQ(scalar.size(), vector.size());
   ASSERT_FALSE(scalar.empty());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar[i]),
-              std::bit_cast<std::uint64_t>(vector[i]))
-        << "metric " << i << " differs between SIMD levels";
+  for (du::SimdLevel level : dlscale::testing::simd_levels_under_test()) {
+    if (level == du::SimdLevel::kScalar) continue;
+    const auto vector = run(level);
+    ASSERT_EQ(scalar.size(), vector.size());
+    for (std::size_t i = 0; i < scalar.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar[i]),
+                std::bit_cast<std::uint64_t>(vector[i]))
+          << "metric " << i << " differs between scalar and "
+          << du::simd_level_name(level);
+    }
   }
 }
