@@ -384,6 +384,17 @@ class Communicator {
                           std::optional<AllreduceAlgo> leader_algo);
   void reduce_bytes(std::byte* data, std::size_t elem_size, std::size_t count,
                     const Reducer* reducer, int root, MemSpace space);
+  // Takes the next message from member `src` under `tag` and books it
+  // exactly as a receive (CommStats, virtual clock); returns the payload.
+  // recv, recv_dynamic and the ring reduce-scatter all receive through
+  // it; `op` names the call in RankFailed and errors.
+  std::vector<std::byte> take_payload(int src, int tag, MemSpace space,
+                                      std::size_t logical_bytes, const char* op);
+  // The n-1 reduce-scatter steps of the ring collectives under tags
+  // tag, tag+1, ...: each step sends one segment right and reduces the
+  // left neighbour's straight from the received payload.
+  void ring_reduce_scatter(std::byte* data, std::size_t elem_size, std::size_t count,
+                           const Reducer* reducer, MemSpace space, int tag);
   void ring_allreduce(std::byte* data, std::size_t elem_size, std::size_t count,
                       const Reducer* reducer, MemSpace space);
   void ring_reduce_scatter_phase(std::byte* data, std::size_t elem_size, std::size_t count,

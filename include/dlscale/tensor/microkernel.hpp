@@ -33,9 +33,27 @@ void gemm_tn(const float* a, const float* b, float* c, int i0, int i1, int m,
              int k, int n);
 
 /// c(rows x n) += a(rows x k) * b(n x k)^T — dot-product form, each
-/// c[i][j] accumulated locally over k then added once.
+/// c[i][j] accumulated locally over k then added once. Packs all of B
+/// into thread scratch per call; a caller that splits the rows into
+/// chunks packs once with gemm_nt_pack_b and calls gemm_nt_acc_packed.
 void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
                  int n);
+
+/// Floats gemm_nt_pack_b may write for b(n x k), at every SIMD level.
+std::size_t gemm_nt_packed_size(int k, int n);
+
+/// Transpose-packs b(n x k) into the column panels gemm_nt_acc_packed
+/// sweeps at the active SIMD level (a no-op for the scalar twin). Pack a
+/// B once, then let every row chunk of one product read it: row chunks
+/// on pool threads share the panel instead of each re-packing B. Pack and
+/// product must run at the same level, which set_simd_level()'s rule (no
+/// re-selection while kernels are in flight) guarantees within one op.
+void gemm_nt_pack_b(const float* b, int k, int n, float* packed);
+
+/// gemm_nt_acc with B already packed by gemm_nt_pack_b; bitwise equal to
+/// it. `b` is still read for the columns past the last full panel.
+void gemm_nt_acc_packed(const float* a, const float* b, const float* packed,
+                        float* c, int rows, int k, int n);
 
 // ---- int8 quantized GEMM (DESIGN.md §9, "Reduced-precision serving") ------
 //

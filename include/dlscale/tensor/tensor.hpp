@@ -150,6 +150,7 @@ class Tensor {
   float* ptr_ = nullptr;
   std::vector<float> owned_;       ///< backing store in owning mode
   util::Arena* arena_ = nullptr;   ///< non-null when borrowed
+  std::uint64_t trace_generation_ = 0;  ///< arena trace generation at borrow time
 };
 
 /// True when shapes match exactly.

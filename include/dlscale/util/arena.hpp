@@ -119,13 +119,21 @@ class Arena {
   };
 
   /// Tracing ------------------------------------------------------------
-  /// Starts recording allocation/release events (resets first). Not
-  /// compatible with frames: tracing captures whole-step Tensor liveness,
-  /// frame scratch lives in separate per-thread arenas.
+  /// Starts recording allocation/release events (resets first) and
+  /// starts a new trace generation. Not compatible with frames: tracing
+  /// captures whole-step Tensor liveness, frame scratch lives in separate
+  /// per-thread arenas.
   void begin_trace();
   [[nodiscard]] bool tracing() const noexcept { return tracing_; }
-  /// Records the release of a traced allocation (Tensor destructor).
-  void note_release(const void* p) noexcept;
+  /// Bumped by every begin_trace(). A borrower stamps its allocation with
+  /// the generation current at allocate() time and passes it back to
+  /// note_release, so a stale borrow from before the trace (a layer cache
+  /// still pointing into the reset block) cannot end an allocation of the
+  /// new trace that happens to sit at the same address.
+  [[nodiscard]] std::uint64_t trace_generation() const noexcept { return generation_; }
+  /// Records the release of a traced allocation (Tensor destructor);
+  /// ignored unless `generation` is the current trace generation.
+  void note_release(const void* p, std::uint64_t generation) noexcept;
   /// Stops tracing and returns the recorded events in allocation order.
   [[nodiscard]] std::vector<ArenaTraceEvent> take_trace();
 
@@ -160,6 +168,7 @@ class Arena {
   std::vector<Guard> guards_;   ///< live canary bands (guard option)
 
   bool tracing_ = false;
+  std::uint64_t generation_ = 0;
   std::uint64_t tick_ = 0;
   std::vector<ArenaTraceEvent> trace_;
   std::vector<std::pair<const void*, std::size_t>> live_;  ///< ptr -> event

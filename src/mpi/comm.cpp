@@ -371,23 +371,14 @@ void Communicator::send(int dst, int tag, std::span<const std::byte> data, MemSp
   world_->post(MailKey{comm_id_, my_index_, dst, tag}, std::move(message));
 }
 
-void Communicator::recv(int src, int tag, std::span<std::byte> out, MemSpace space,
-                        std::size_t logical_bytes) {
-  if (src < 0 || src >= size()) throw std::out_of_range("recv: bad source rank");
-  ensure_live("recv", tag, src);
+std::vector<std::byte> Communicator::take_payload(int src, int tag, MemSpace space,
+                                                  std::size_t logical_bytes, const char* op) {
+  if (src < 0 || src >= size()) throw std::out_of_range(std::string(op) + ": bad source rank");
+  ensure_live(op, tag, src);
   const MailKey key{comm_id_, src, my_index_, tag};
   int failed = -1;
   Message message = world_->take(key, members_, &failed);
-  if (failed != -1) raise_failed(failed, "recv", tag, src);
-
-  if (!message.payload.empty() || !out.empty()) {
-    if (message.payload.size() != out.size()) {
-      throw std::runtime_error("recv: size mismatch (got " +
-                               std::to_string(message.payload.size()) + " bytes, expected " +
-                               std::to_string(out.size()) + ")");
-    }
-    std::memcpy(out.data(), message.payload.data(), out.size());
-  }
+  if (failed != -1) raise_failed(failed, op, tag, src);
 
   const int grank = global_rank();
   auto& st = world_->stats(grank);
@@ -414,6 +405,25 @@ void Communicator::recv(int src, int tag, std::span<std::byte> out, MemSpace spa
     clk.bump_to(completion);
     st.comm_time_s += std::max(0.0, completion - before);
   }
+  return std::move(message.payload);
+}
+
+namespace {
+
+void expect_payload_size(const std::vector<std::byte>& payload, std::size_t expected) {
+  if (payload.size() != expected) {
+    throw std::runtime_error("recv: size mismatch (got " + std::to_string(payload.size()) +
+                             " bytes, expected " + std::to_string(expected) + ")");
+  }
+}
+
+}  // namespace
+
+void Communicator::recv(int src, int tag, std::span<std::byte> out, MemSpace space,
+                        std::size_t logical_bytes) {
+  const std::vector<std::byte> payload = take_payload(src, tag, space, logical_bytes, "recv");
+  expect_payload_size(payload, out.size());
+  if (!out.empty()) std::memcpy(out.data(), payload.data(), out.size());
 }
 
 Communicator::Request Communicator::isend(int dst, int tag, std::span<const std::byte> data,
@@ -439,36 +449,7 @@ void Communicator::sendrecv(int dst, int send_tag, std::span<const std::byte> se
 }
 
 std::vector<std::byte> Communicator::recv_dynamic(int src, int tag, MemSpace space) {
-  if (src < 0 || src >= size()) throw std::out_of_range("recv_dynamic: bad source rank");
-  ensure_live("recv_dynamic", tag, src);
-  const MailKey key{comm_id_, src, my_index_, tag};
-  int failed = -1;
-  Message message = world_->take(key, members_, &failed);
-  if (failed != -1) raise_failed(failed, "recv_dynamic", tag, src);
-
-  const int grank = global_rank();
-  auto& st = world_->stats(grank);
-  ++st.messages;
-  st.bytes += message.logical_bytes;
-
-  if (world_->options().timing) {
-    auto& clk = world_->clock(grank);
-    const auto& profile = world_->cost().profile();
-    double r0 = clk.now() + profile.per_op_overhead_s;
-    if (space == MemSpace::kDevice) r0 += profile.device_op_overhead_s;
-    double completion;
-    if (message.rendezvous) {
-      completion = std::max(message.available_at,
-                            r0 + message.handshake_s + message.wire_s + message.pipeline_extra_s);
-      world_->clock(message.sender_global).bump_to(completion);
-    } else {
-      completion = std::max(message.available_at, r0);
-    }
-    const double before = clk.now();
-    clk.bump_to(completion);
-    st.comm_time_s += std::max(0.0, completion - before);
-  }
-  return std::move(message.payload);
+  return take_payload(src, tag, space, kAuto, "recv_dynamic");
 }
 
 // XOR, not +: callers pass collective tag constants (kTagGather etc.)
@@ -700,52 +681,64 @@ std::span<std::byte> window(std::byte* data, std::size_t elem_size, std::size_t 
   return {data + off * elem_size, len * elem_size};
 }
 
+/// Element partition of the ring collectives: n segments, the first
+/// (count % n) of them one element longer.
+struct RingSegments {
+  std::size_t base, extra;
+  RingSegments(std::size_t count, int n)
+      : base(count / static_cast<std::size_t>(n)), extra(count % static_cast<std::size_t>(n)) {}
+  [[nodiscard]] std::size_t off(int s) const {
+    const auto u = static_cast<std::size_t>(s);
+    return u * base + std::min(u, extra);
+  }
+  [[nodiscard]] std::size_t len(int s) const {
+    return base + (static_cast<std::size_t>(s) < extra ? 1 : 0);
+  }
+};
+
 }  // namespace
+
+void Communicator::ring_reduce_scatter(std::byte* data, std::size_t elem_size, std::size_t count,
+                                       const Reducer* reducer, MemSpace space, int tag) {
+  const int n = size();
+  const RingSegments part(count, n);
+  const int right = (my_index_ + 1) % n;
+  const int left = (my_index_ - 1 + n) % n;
+  for (int step = 0; step < n - 1; ++step) {
+    const int send_seg = (my_index_ - step + n) % n;
+    const int recv_seg = (my_index_ - step - 1 + n) % n;
+    const std::size_t recv_bytes = part.len(recv_seg) * elem_size;
+    send(right, tag + step, window(data, elem_size, part.off(send_seg), part.len(send_seg)), space,
+         part.len(send_seg) * elem_size);
+    // Reduce straight from the received payload: no staging copy.
+    const std::vector<std::byte> incoming =
+        take_payload(left, tag + step, space, recv_bytes, "recv");
+    expect_payload_size(incoming, data != nullptr ? recv_bytes : 0);
+    if (data != nullptr && reducer != nullptr) {
+      reducer->apply(data + part.off(recv_seg) * elem_size, incoming.data(), part.len(recv_seg));
+    }
+    reduce_compute(recv_bytes, space, left);
+  }
+}
 
 void Communicator::ring_allreduce(std::byte* data, std::size_t elem_size, std::size_t count,
                                   const Reducer* reducer, MemSpace space) {
   const int n = size();
   if (n == 1 || count == 0) return;
-  // Element partition: first (count % n) segments get one extra element.
-  const std::size_t base = count / static_cast<std::size_t>(n);
-  const std::size_t extra = count % static_cast<std::size_t>(n);
-  auto seg_off = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    return u * base + std::min(u, extra);
-  };
-  auto seg_len = [&](int s) {
-    return base + (static_cast<std::size_t>(s) < extra ? 1 : 0);
-  };
-
-  std::vector<std::byte> tmp;
-  if (data != nullptr) tmp.resize((base + 1) * elem_size);
-  const int right = (my_index_ + 1) % n;
-  const int left = (my_index_ - 1 + n) % n;
-
   // Phase 1: reduce-scatter.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = (my_index_ - step + n) % n;
-    const int recv_seg = (my_index_ - step - 1 + n) % n;
-    const std::size_t send_bytes = seg_len(send_seg) * elem_size;
-    const std::size_t recv_bytes = seg_len(recv_seg) * elem_size;
-    std::span<std::byte> incoming =
-        data != nullptr ? std::span<std::byte>(tmp.data(), recv_bytes) : std::span<std::byte>{};
-    sendrecv(right, kTagRingRS + step, window(data, elem_size, seg_off(send_seg), seg_len(send_seg)),
-             left, kTagRingRS + step, incoming, space, send_bytes, recv_bytes);
-    if (data != nullptr && reducer != nullptr) {
-      reducer->apply(data + seg_off(recv_seg) * elem_size, tmp.data(), seg_len(recv_seg));
-    }
-    reduce_compute(recv_bytes, space, left);
-  }
+  ring_reduce_scatter(data, elem_size, count, reducer, space, kTagRingRS);
 
   // Phase 2: allgather.
+  const RingSegments part(count, n);
+  const int right = (my_index_ + 1) % n;
+  const int left = (my_index_ - 1 + n) % n;
   for (int step = 0; step < n - 1; ++step) {
     const int send_seg = (my_index_ + 1 - step + 2 * n) % n;
     const int recv_seg = (my_index_ - step + n) % n;
     sendrecv(right, kTagRingAG + step,
-             window(data, elem_size, seg_off(send_seg), seg_len(send_seg)), left,
-             kTagRingAG + step, window(data, elem_size, seg_off(recv_seg), seg_len(recv_seg)),
-             space, seg_len(send_seg) * elem_size, seg_len(recv_seg) * elem_size);
+             window(data, elem_size, part.off(send_seg), part.len(send_seg)), left,
+             kTagRingAG + step, window(data, elem_size, part.off(recv_seg), part.len(recv_seg)),
+             space, part.len(send_seg) * elem_size, part.len(recv_seg) * elem_size);
   }
 }
 
@@ -753,35 +746,8 @@ void Communicator::ring_reduce_scatter_phase(std::byte* data, std::size_t elem_s
                                              std::size_t count, const Reducer* reducer,
                                              MemSpace space) {
   ensure_live("reduce_scatter", -1);
-  const int n = size();
-  if (n == 1 || count == 0) return;
-  const std::size_t base = count / static_cast<std::size_t>(n);
-  const std::size_t extra = count % static_cast<std::size_t>(n);
-  auto seg_off = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    return u * base + std::min(u, extra);
-  };
-  auto seg_len = [&](int s) { return base + (static_cast<std::size_t>(s) < extra ? 1 : 0); };
-
-  std::vector<std::byte> tmp;
-  if (data != nullptr) tmp.resize((base + 1) * elem_size);
-  const int right = (my_index_ + 1) % n;
-  const int left = (my_index_ - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = (my_index_ - step + n) % n;
-    const int recv_seg = (my_index_ - step - 1 + n) % n;
-    const std::size_t send_bytes = seg_len(send_seg) * elem_size;
-    const std::size_t recv_bytes = seg_len(recv_seg) * elem_size;
-    std::span<std::byte> incoming =
-        data != nullptr ? std::span<std::byte>(tmp.data(), recv_bytes) : std::span<std::byte>{};
-    sendrecv(right, kTagRingRS + 128 + step,
-             window(data, elem_size, seg_off(send_seg), seg_len(send_seg)), left,
-             kTagRingRS + 128 + step, incoming, space, send_bytes, recv_bytes);
-    if (data != nullptr && reducer != nullptr) {
-      reducer->apply(data + seg_off(recv_seg) * elem_size, tmp.data(), seg_len(recv_seg));
-    }
-    reduce_compute(recv_bytes, space, left);
-  }
+  if (size() == 1 || count == 0) return;
+  ring_reduce_scatter(data, elem_size, count, reducer, space, kTagRingRS + 128);
 }
 
 void Communicator::recursive_doubling_allreduce(std::byte* data, std::size_t elem_size,
@@ -1004,45 +970,21 @@ void Communicator::ring_reduce_to_root(std::byte* data, std::size_t elem_size, s
   if (n == 1 || count == 0) return;
   // Phase 1: ring reduce-scatter (pipelined, bandwidth-optimal) so every
   // rank owns one fully-reduced segment...
-  const std::size_t base = count / static_cast<std::size_t>(n);
-  const std::size_t extra = count % static_cast<std::size_t>(n);
-  auto seg_off = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    return u * base + std::min(u, extra);
-  };
-  auto seg_len = [&](int s) { return base + (static_cast<std::size_t>(s) < extra ? 1 : 0); };
-
-  std::vector<std::byte> tmp;
-  if (data != nullptr) tmp.resize((base + 1) * elem_size);
-  const int right = (my_index_ + 1) % n;
-  const int left = (my_index_ - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = (my_index_ - step + n) % n;
-    const int recv_seg = (my_index_ - step - 1 + n) % n;
-    const std::size_t send_bytes = seg_len(send_seg) * elem_size;
-    const std::size_t recv_bytes = seg_len(recv_seg) * elem_size;
-    std::span<std::byte> incoming =
-        data != nullptr ? std::span<std::byte>(tmp.data(), recv_bytes) : std::span<std::byte>{};
-    sendrecv(right, kTagRingRS + step, window(data, elem_size, seg_off(send_seg), seg_len(send_seg)),
-             left, kTagRingRS + step, incoming, space, send_bytes, recv_bytes);
-    if (data != nullptr && reducer != nullptr) {
-      reducer->apply(data + seg_off(recv_seg) * elem_size, tmp.data(), seg_len(recv_seg));
-    }
-    reduce_compute(recv_bytes, space, left);
-  }
+  ring_reduce_scatter(data, elem_size, count, reducer, space, kTagRingRS);
+  const RingSegments part(count, n);
   // ...Phase 2: gather the reduced segments at root 0. After n-1 steps,
   // rank r owns segment (r + 1) mod n fully reduced.
   const int owned = (my_index_ + 1) % n;
   if (my_index_ == 0) {
     for (int r = 1; r < n; ++r) {
       const int seg = (r + 1) % n;
-      if (seg_len(seg) == 0) continue;
-      recv(r, kTagGather + 1, window(data, elem_size, seg_off(seg), seg_len(seg)), space,
-           seg_len(seg) * elem_size);
+      if (part.len(seg) == 0) continue;
+      recv(r, kTagGather + 1, window(data, elem_size, part.off(seg), part.len(seg)), space,
+           part.len(seg) * elem_size);
     }
-  } else if (seg_len(owned) > 0) {
-    send(0, kTagGather + 1, window(data, elem_size, seg_off(owned), seg_len(owned)), space,
-         seg_len(owned) * elem_size);
+  } else if (part.len(owned) > 0) {
+    send(0, kTagGather + 1, window(data, elem_size, part.off(owned), part.len(owned)), space,
+         part.len(owned) * elem_size);
   }
 }
 
@@ -1052,23 +994,17 @@ void Communicator::scatter_allgather_bcast(std::byte* data, std::size_t elem_siz
   if (n == 1 || count == 0) return;
   // Large-message broadcast as scatter + ring allgather (van de Geijn),
   // moving ~2x the data total instead of log2(n)x.
-  const std::size_t base = count / static_cast<std::size_t>(n);
-  const std::size_t extra = count % static_cast<std::size_t>(n);
-  auto seg_off = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    return u * base + std::min(u, extra);
-  };
-  auto seg_len = [&](int s) { return base + (static_cast<std::size_t>(s) < extra ? 1 : 0); };
+  const RingSegments part(count, n);
 
   if (my_index_ == 0) {
     for (int r = 1; r < n; ++r) {
-      if (seg_len(r) == 0) continue;
-      send(r, kTagBcast + 1, window(data, elem_size, seg_off(r), seg_len(r)), space,
-           seg_len(r) * elem_size);
+      if (part.len(r) == 0) continue;
+      send(r, kTagBcast + 1, window(data, elem_size, part.off(r), part.len(r)), space,
+           part.len(r) * elem_size);
     }
-  } else if (seg_len(my_index_) > 0) {
-    recv(0, kTagBcast + 1, window(data, elem_size, seg_off(my_index_), seg_len(my_index_)), space,
-         seg_len(my_index_) * elem_size);
+  } else if (part.len(my_index_) > 0) {
+    recv(0, kTagBcast + 1, window(data, elem_size, part.off(my_index_), part.len(my_index_)), space,
+         part.len(my_index_) * elem_size);
   }
 
   const int right = (my_index_ + 1) % n;
@@ -1077,9 +1013,9 @@ void Communicator::scatter_allgather_bcast(std::byte* data, std::size_t elem_siz
     const int send_seg = (my_index_ - step + n) % n;
     const int recv_seg = (my_index_ - step - 1 + n) % n;
     sendrecv(right, kTagRingAG + step,
-             window(data, elem_size, seg_off(send_seg), seg_len(send_seg)), left,
-             kTagRingAG + step, window(data, elem_size, seg_off(recv_seg), seg_len(recv_seg)),
-             space, seg_len(send_seg) * elem_size, seg_len(recv_seg) * elem_size);
+             window(data, elem_size, part.off(send_seg), part.len(send_seg)), left,
+             kTagRingAG + step, window(data, elem_size, part.off(recv_seg), part.len(recv_seg)),
+             space, part.len(send_seg) * elem_size, part.len(recv_seg) * elem_size);
   }
 }
 

@@ -28,15 +28,16 @@ constexpr int kKC = 128;
 #if DLSCALE_SIMD_X86
 /// Register row-block of the vector GEMM and int8 kernels.
 constexpr int kMR = 4;
+#endif
 
-/// Per-thread transpose-pack scratch for gemm_nt_acc, grown monotonically
-/// and reused across GEMM calls, samples, and training steps.
+/// Per-thread scratch for gemm_nt_acc's whole-B pack, grown monotonically
+/// and reused across calls. Callers that share one pack across row chunks
+/// pack into their own buffer and call gemm_nt_acc_packed instead.
 float* pack_scratch(std::size_t n) {
   thread_local std::vector<float> buf;
   if (buf.size() < n) buf.resize(n);
   return buf.data();
 }
-#endif
 
 // ---- scalar twins ---------------------------------------------------------
 //
@@ -91,6 +92,15 @@ namespace scalar {
       c[static_cast<std::size_t>(i) * n + j] += acc;
     }
   }
+}
+
+// The scalar twin reads B in place, so it packs nothing and its packed
+// product is gemm_nt_acc itself.
+void gemm_nt_pack_b(const float* /*b*/, int /*k*/, int /*n*/, float* /*packed*/) {}
+
+void gemm_nt_acc_packed(const float* a, const float* b, const float* /*packed*/, float* c,
+                        int rows, int k, int n) {
+  gemm_nt_acc(a, b, c, rows, k, n);
 }
 
 void add_inplace(float* a, const float* b, std::int64_t n) {
@@ -386,20 +396,34 @@ DLSCALE_VEC_INLINE void nt_panel(const float* a, int k, const float* bp, float* 
   }
 }
 
-/// gemm_nt_acc's L-column strips from column jp on; returns the first
-/// column not covered.
+/// Transpose-packs gemm_nt_acc's L-column panels of b(n x k) from column
+/// jp on: the panel at column j lands at packed + j * k as bp[kk][lane] =
+/// b[j + lane][kk], so panels of mixed widths tile one buffer in column
+/// order. Returns the first column not covered.
 template <class V>
-DLSCALE_VEC_INLINE int nt_panels(const float* a, const float* b, float* c, int rows, int k,
+DLSCALE_VEC_INLINE int nt_pack(const float* b, int k, int n, int jp, float* packed) {
+  constexpr int L = kLanes<V>;
+  for (; jp + L <= n; jp += L) {
+    // kk outermost: each packed step is one contiguous L-float store, read
+    // from L row streams (~2x faster than lane-outer strided stores).
+    float* bp = packed + static_cast<std::size_t>(jp) * k;
+    const float* b0 = b + static_cast<std::size_t>(jp) * k;
+    for (int kk = 0; kk < k; ++kk, bp += L) {
+#pragma GCC unroll 16
+      for (int lane = 0; lane < L; ++lane) bp[lane] = b0[static_cast<std::size_t>(lane) * k + kk];
+    }
+  }
+  return jp;
+}
+
+/// Every row of A against the packed L-column panels from column jp on:
+/// kMR-row blocks, then single rows. Returns the first column not covered.
+template <class V>
+DLSCALE_VEC_INLINE int nt_panels(const float* a, const float* packed, float* c, int rows, int k,
                                  int n, int jp) {
   constexpr int L = kLanes<V>;
-  if (jp + L > n) return jp;
-  float* bp = pack_scratch(static_cast<std::size_t>(std::max(k, 1)) * L);
   for (; jp + L <= n; jp += L) {
-    // Transpose-pack: bp[kk][lane] = b[(jp+lane)][kk].
-    for (int lane = 0; lane < L; ++lane) {
-      const float* brow = b + static_cast<std::size_t>(jp + lane) * k;
-      for (int kk = 0; kk < k; ++kk) bp[static_cast<std::size_t>(kk) * L + lane] = brow[kk];
-    }
+    const float* bp = packed + static_cast<std::size_t>(jp) * k;
     int i = 0;
     for (; i + kMR <= rows; i += kMR) {
       nt_panel<V, kMR>(a + static_cast<std::size_t>(i) * k, k, bp,
@@ -414,10 +438,18 @@ DLSCALE_VEC_INLINE int nt_panels(const float* a, const float* b, float* c, int r
 }
 
 template <class... Vs>
-DLSCALE_VEC_INLINE void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
-                                    int n) {
+DLSCALE_VEC_INLINE void gemm_nt_pack_b(const float* b, int k, int n, float* packed) {
   int jp = 0;
-  ((jp = nt_panels<Vs>(a, b, c, rows, k, n, jp)), ...);
+  ((jp = nt_pack<Vs>(b, k, n, jp, packed)), ...);
+}
+
+/// Packed panels first, then the column tail [jp, n) straight from b: the
+/// scalar twin restricted to those columns.
+template <class... Vs>
+DLSCALE_VEC_INLINE void gemm_nt_acc_packed(const float* a, const float* b, const float* packed,
+                                           float* c, int rows, int k, int n) {
+  int jp = 0;
+  ((jp = nt_panels<Vs>(a, packed, c, rows, k, n, jp)), ...);
   for (int i = 0; i < rows; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     for (int j = jp; j < n; ++j) {
@@ -453,9 +485,13 @@ DLSCALE_AVX512 void gemm_tn(const float* a, const float* b, float* c, int i0, in
   vec::gemm_tn<vec::F16, vec::F8>(a, b, c, i0, i1, m, k, n);
 }
 
-DLSCALE_AVX512 void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
-                                int n) {
-  vec::gemm_nt_acc<vec::F16, vec::F8>(a, b, c, rows, k, n);
+DLSCALE_AVX512 void gemm_nt_pack_b(const float* b, int k, int n, float* packed) {
+  vec::gemm_nt_pack_b<vec::F16, vec::F8>(b, k, n, packed);
+}
+
+DLSCALE_AVX512 void gemm_nt_acc_packed(const float* a, const float* b, const float* packed,
+                                       float* c, int rows, int k, int n) {
+  vec::gemm_nt_acc_packed<vec::F16, vec::F8>(a, b, packed, c, rows, k, n);
 }
 
 #undef DLSCALE_AVX512
@@ -481,9 +517,13 @@ DLSCALE_AVX2 void gemm_tn(const float* a, const float* b, float* c, int i0, int 
   vec::gemm_tn<vec::F8>(a, b, c, i0, i1, m, k, n);
 }
 
-DLSCALE_AVX2 void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
-                              int n) {
-  vec::gemm_nt_acc<vec::F8>(a, b, c, rows, k, n);
+DLSCALE_AVX2 void gemm_nt_pack_b(const float* b, int k, int n, float* packed) {
+  vec::gemm_nt_pack_b<vec::F8>(b, k, n, packed);
+}
+
+DLSCALE_AVX2 void gemm_nt_acc_packed(const float* a, const float* b, const float* packed,
+                                     float* c, int rows, int k, int n) {
+  vec::gemm_nt_acc_packed<vec::F8>(a, b, packed, c, rows, k, n);
 }
 
 DLSCALE_AVX2 void add_inplace(float* a, const float* b, std::int64_t n) {
@@ -776,9 +816,24 @@ void gemm_tn(const float* a, const float* b, float* c, int i0, int i1, int m,
   DLSCALE_GEMM_DISPATCH(gemm_tn, a, b, c, i0, i1, m, k, n);
 }
 
+std::size_t gemm_nt_packed_size(int k, int n) {
+  return static_cast<std::size_t>(std::max(k, 0)) * static_cast<std::size_t>(std::max(n, 0));
+}
+
+void gemm_nt_pack_b(const float* b, int k, int n, float* packed) {
+  DLSCALE_GEMM_DISPATCH(gemm_nt_pack_b, b, k, n, packed);
+}
+
+void gemm_nt_acc_packed(const float* a, const float* b, const float* packed, float* c, int rows,
+                        int k, int n) {
+  DLSCALE_GEMM_DISPATCH(gemm_nt_acc_packed, a, b, packed, c, rows, k, n);
+}
+
 void gemm_nt_acc(const float* a, const float* b, float* c, int rows, int k,
                  int n) {
-  DLSCALE_GEMM_DISPATCH(gemm_nt_acc, a, b, c, rows, k, n);
+  float* packed = pack_scratch(gemm_nt_packed_size(k, n));
+  gemm_nt_pack_b(b, k, n, packed);
+  gemm_nt_acc_packed(a, b, packed, c, rows, k, n);
 }
 
 #undef DLSCALE_GEMM_DISPATCH

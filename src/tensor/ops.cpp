@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "dlscale/tensor/microkernel.hpp"
@@ -48,16 +49,20 @@ inline std::int64_t row_grain(std::int64_t rows, std::int64_t work_per_row) {
 /// kernel runs rows in blocks of four with the B strip shared across the
 /// block, so chunks below a few rows forfeit the blocking entirely (a
 /// one-row chunk degenerates to the single-row kernel). Target more ops
-/// per chunk than the generic row_grain and never split below 16 rows.
-/// Like row_grain this is a pure function of the shape, and GEMM output
-/// rows are computed independently, so chunking cannot change results.
+/// per chunk than the generic row_grain, never split below 16 rows, and
+/// round to whole 4-row blocks so only the last chunk can have a ragged
+/// tail. Like row_grain this is a pure function of the shape, and GEMM
+/// output rows are computed independently, so chunking cannot change
+/// results.
 inline std::int64_t gemm_row_grain(std::int64_t rows, std::int64_t work_per_row) {
   constexpr std::int64_t kTargetOps = 1 << 20;
   constexpr std::int64_t kMinRows = 16;
+  constexpr std::int64_t kRowBlock = 4;
   if (rows <= kMinRows) return std::max<std::int64_t>(rows, 1);
   const std::int64_t grain =
       work_per_row > 0 ? (kTargetOps + work_per_row - 1) / work_per_row : rows;
-  return std::clamp<std::int64_t>(std::max(grain, kMinRows), 1, rows);
+  const std::int64_t blocked = (std::max(grain, kMinRows) + kRowBlock - 1) / kRowBlock * kRowBlock;
+  return std::min(blocked, rows);
 }
 
 /// Grain for elementwise sweeps.
@@ -118,10 +123,14 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const float* pa = a.ptr();
   const float* pb = b.ptr();
   float* pc = c.ptr();
+  // B is packed once; every row chunk sweeps the same panels.
+  ScratchFrame frame(scratch());
+  float* packed = scratch().alloc<float>(micro::gemm_nt_packed_size(k, n));
+  micro::gemm_nt_pack_b(pb, k, n, packed);
   util::parallel_for(0, m, gemm_row_grain(m, static_cast<std::int64_t>(k) * n),
                      [&](std::int64_t i0, std::int64_t i1) {
-                       micro::gemm_nt_acc(pa + i0 * k, pb, pc + i0 * n, static_cast<int>(i1 - i0),
-                                          k, n);
+                       micro::gemm_nt_acc_packed(pa + i0 * k, pb, packed, pc + i0 * n,
+                                                 static_cast<int>(i1 - i0), k, n);
                      });
   return c;
 }
@@ -136,8 +145,59 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 // kx*dilation), always in range by the definition of out_extent (which
 // is 0, an empty patch, when the dilated kernel does not fit). With
 // pad == 0 the plane itself is the padded plane and no copy is made.
+//
+// Every walk is a sequence of short row moves (4-32 floats at the model's
+// shapes). The row width and the stride reach the loops as compile-time
+// constants for the widths and strides the model lowers, so a row becomes
+// straight-line vector loads and stores instead of a libc call or a
+// scalar loop; any other shape runs the same loop with run-time bounds.
+// Each element still takes exactly one store (or one add, in the same
+// per-element order), so the fixed and generic forms are bitwise equal.
 
 namespace {
+
+template <int N>
+using Fixed = std::integral_constant<int, N>;
+
+/// Calls body(width) with a Fixed width for 4, 8, 16 and 32, and with the
+/// plain int otherwise.
+template <class Body>
+void with_width(int width, Body&& body) {
+  switch (width) {
+    case 4: return body(Fixed<4>{});
+    case 8: return body(Fixed<8>{});
+    case 16: return body(Fixed<16>{});
+    case 32: return body(Fixed<32>{});
+    default: return body(width);
+  }
+}
+
+/// Calls body(width, stride) with each Fixed where with_width and strides
+/// 1 and 2 allow it.
+template <class Body>
+void with_row_shape(int width, int stride, Body&& body) {
+  const auto by_width = [&](auto s) { with_width(width, [&](auto w) { body(w, s); }); };
+  switch (stride) {
+    case 1: return by_width(Fixed<1>{});
+    case 2: return by_width(Fixed<2>{});
+    default: return by_width(stride);
+  }
+}
+
+/// dst[x] = src[x * stride] for x < width.
+template <class W, class S>
+[[gnu::always_inline]] inline void gather_row(float* __restrict dst,
+                                              const float* __restrict src, W width, S stride) {
+  for (int x = 0; x < width; ++x) dst[x] = src[x * stride];
+}
+
+/// dst[x * stride] += src[x] for x < width.
+template <class W, class S>
+[[gnu::always_inline]] inline void scatter_add_row(float* __restrict dst,
+                                                   const float* __restrict src, W width,
+                                                   S stride) {
+  for (int x = 0; x < width; ++x) dst[x * stride] += src[x];
+}
 
 /// Geometry of the padded plane walk for one (input plane, kernel, spec).
 struct PaddedPlane {
@@ -166,17 +226,23 @@ struct PaddedPlane {
   [[nodiscard]] bool empty() const { return out_h == 0 || out_w == 0; }
   /// Copies plane (h x w) into the interior of padded (border untouched).
   void fill_interior(float* padded, const float* plane) const {
-    for (int y = 0; y < h; ++y) {
-      const float* src = plane + static_cast<std::size_t>(y) * w;
-      std::copy(src, src + w, padded + static_cast<std::size_t>(y + pad) * pw + pad);
-    }
+    float* dst = padded + static_cast<std::size_t>(pad) * pw + pad;
+    with_width(w, [&](auto width) {
+      for (int y = 0; y < h; ++y) {
+        gather_row(dst + static_cast<std::size_t>(y) * pw, plane + static_cast<std::size_t>(y) * w,
+                   width, Fixed<1>{});
+      }
+    });
   }
   /// Copies the interior of padded back out to plane (h x w).
   void copy_interior(float* plane, const float* padded) const {
-    for (int y = 0; y < h; ++y) {
-      const float* src = padded + static_cast<std::size_t>(y + pad) * pw + pad;
-      std::copy(src, src + w, plane + static_cast<std::size_t>(y) * w);
-    }
+    const float* src = padded + static_cast<std::size_t>(pad) * pw + pad;
+    with_width(w, [&](auto width) {
+      for (int y = 0; y < h; ++y) {
+        gather_row(plane + static_cast<std::size_t>(y) * w, src + static_cast<std::size_t>(y) * pw,
+                   width, Fixed<1>{});
+      }
+    });
   }
 };
 
@@ -196,27 +262,25 @@ void im2col(const Tensor& input, int sample, int kh, int kw, const Conv2dSpec& s
     padded = scratch().alloc<float>(g.padded_size());
     std::fill(padded, padded + g.padded_size(), 0.0f);
   }
-  for (int c = 0; c < channels; ++c) {
-    const float* src = base + static_cast<std::size_t>(c) * plane;
-    if (padded != nullptr) {
-      g.fill_interior(padded, src);
-      src = padded;
-    }
-    for (int ky = 0; ky < kh; ++ky) {
-      for (int kx = 0; kx < kw; ++kx) {
-        const int row = (c * kh + ky) * kw + kx;
-        float* dst = cols + static_cast<std::size_t>(row) * row_stride;
-        const float* tap = src + g.tap(ky, kx);
-        for (int oy = 0; oy < g.out_h; ++oy, dst += g.out_w, tap += g.row_step()) {
-          if (g.stride == 1) {
-            std::copy(tap, tap + g.out_w, dst);
-          } else {
-            for (int ox = 0; ox < g.out_w; ++ox) dst[ox] = tap[ox * g.stride];
+  with_row_shape(g.out_w, g.stride, [&](auto out_w, auto stride) {
+    for (int c = 0; c < channels; ++c) {
+      const float* src = base + static_cast<std::size_t>(c) * plane;
+      if (padded != nullptr) {
+        g.fill_interior(padded, src);
+        src = padded;
+      }
+      for (int ky = 0; ky < kh; ++ky) {
+        for (int kx = 0; kx < kw; ++kx) {
+          const int row = (c * kh + ky) * kw + kx;
+          float* dst = cols + static_cast<std::size_t>(row) * row_stride;
+          const float* tap = src + g.tap(ky, kx);
+          for (int oy = 0; oy < g.out_h; ++oy, dst += out_w, tap += g.row_step()) {
+            gather_row(dst, tap, out_w, stride);
           }
         }
       }
     }
-  }
+  });
 }
 
 void im2col(const Tensor& input, int sample, int kh, int kw, const Conv2dSpec& spec,
@@ -256,29 +320,27 @@ void col2im(const float* cols, Tensor& grad_input, int sample, int kh, int kw,
     padded = scratch().alloc<float>(g.padded_size());
     std::fill(padded, padded + g.padded_size(), 0.0f);
   }
-  for (int c = 0; c < channels; ++c) {
-    float* dst_plane = base + static_cast<std::size_t>(c) * plane;
-    float* acc = dst_plane;
-    if (padded != nullptr) {
-      g.fill_interior(padded, dst_plane);
-      acc = padded;
-    }
-    for (int ky = 0; ky < kh; ++ky) {
-      for (int kx = 0; kx < kw; ++kx) {
-        const int row = (c * kh + ky) * kw + kx;
-        const float* src = cols + static_cast<std::size_t>(row) * patch;
-        float* tap = acc + g.tap(ky, kx);
-        for (int oy = 0; oy < g.out_h; ++oy, src += g.out_w, tap += g.row_step()) {
-          if (g.stride == 1) {
-            for (int ox = 0; ox < g.out_w; ++ox) tap[ox] += src[ox];
-          } else {
-            for (int ox = 0; ox < g.out_w; ++ox) tap[ox * g.stride] += src[ox];
+  with_row_shape(g.out_w, g.stride, [&](auto out_w, auto stride) {
+    for (int c = 0; c < channels; ++c) {
+      float* dst_plane = base + static_cast<std::size_t>(c) * plane;
+      float* acc = dst_plane;
+      if (padded != nullptr) {
+        g.fill_interior(padded, dst_plane);
+        acc = padded;
+      }
+      for (int ky = 0; ky < kh; ++ky) {
+        for (int kx = 0; kx < kw; ++kx) {
+          const int row = (c * kh + ky) * kw + kx;
+          const float* src = cols + static_cast<std::size_t>(row) * patch;
+          float* tap = acc + g.tap(ky, kx);
+          for (int oy = 0; oy < g.out_h; ++oy, src += out_w, tap += g.row_step()) {
+            scatter_add_row(tap, src, out_w, stride);
           }
         }
       }
+      if (padded != nullptr) g.copy_interior(dst_plane, padded);
     }
-    if (padded != nullptr) g.copy_interior(dst_plane, padded);
-  }
+  });
 }
 
 void col2im(const Tensor& cols, Tensor& grad_input, int sample, int kh, int kw,
@@ -430,19 +492,22 @@ Tensor conv2d_backward(const Tensor& input, const Tensor& weight, const Tensor& 
     }
   });
 
-  // Phase 2: dW += sum_n go_n * cols_n^T, parallel over output-channel
-  // rows; each row accumulates over samples in ascending order so the
-  // result matches the serial per-sample add_ exactly.
+  // Phase 2: dW += sum_n go_n * cols_n^T, samples in ascending order so
+  // the result matches the serial per-sample add_ exactly. Each sample's
+  // columns are transpose-packed once, then the output-channel row chunks
+  // run in parallel over that one shared panel set.
   float* pgw = grad_weight.ptr();  // (out_c, kdim) view of the 4D tensor
-  util::parallel_for(0, out_c, gemm_row_grain(out_c, static_cast<std::int64_t>(batch) * kdim * patch),
-                     [&](std::int64_t o0, std::int64_t o1) {
-                       for (int n = 0; n < batch; ++n) {
-                         micro::gemm_nt_acc(
-                             pgo + (static_cast<std::size_t>(n) * out_c + o0) * patch,
-                             cols + cols_stride * n, pgw + static_cast<std::size_t>(o0) * kdim,
-                             static_cast<int>(o1 - o0), patch, kdim);
-                       }
-                     });
+  float* packed = scratch().alloc<float>(micro::gemm_nt_packed_size(patch, kdim));
+  const std::int64_t grain = gemm_row_grain(out_c, static_cast<std::int64_t>(kdim) * patch);
+  for (int n = 0; n < batch; ++n) {
+    const float* cols_n = cols + cols_stride * n;
+    micro::gemm_nt_pack_b(cols_n, patch, kdim, packed);
+    util::parallel_for(0, out_c, grain, [&](std::int64_t o0, std::int64_t o1) {
+      micro::gemm_nt_acc_packed(pgo + (static_cast<std::size_t>(n) * out_c + o0) * patch, cols_n,
+                                packed, pgw + static_cast<std::size_t>(o0) * kdim,
+                                static_cast<int>(o1 - o0), patch, kdim);
+    });
+  }
 
   // Phase 3: dX = col2im(W^T * go_n), parallel over samples with a
   // per-worker dcols frame reused across the chunk's samples.

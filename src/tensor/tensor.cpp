@@ -36,6 +36,7 @@ int Shape::at(std::size_t i) const {
 void Tensor::init_storage(bool zero_fill) {
   if (util::Arena* arena = util::current_arena()) {
     arena_ = arena;
+    trace_generation_ = arena->trace_generation();
     ptr_ = arena->alloc<float>(numel_);
     if (zero_fill) std::memset(ptr_, 0, numel_ * sizeof(float));
   } else {
@@ -51,7 +52,7 @@ void Tensor::init_storage(bool zero_fill) {
 
 void Tensor::release_storage() noexcept {
   if (arena_ != nullptr) {
-    if (arena_->tracing()) arena_->note_release(ptr_);
+    if (arena_->tracing()) arena_->note_release(ptr_, trace_generation_);
     arena_ = nullptr;
   }
   ptr_ = nullptr;
@@ -86,7 +87,8 @@ Tensor::Tensor(Tensor&& other) noexcept
       numel_(other.numel_),
       ptr_(other.ptr_),
       owned_(std::move(other.owned_)),
-      arena_(other.arena_) {
+      arena_(other.arena_),
+      trace_generation_(other.trace_generation_) {
   // vector move keeps the heap buffer, so ptr_ stays valid in owning
   // mode; in borrowed mode the borrow (and its trace identity) transfers.
   other.shape_ = Shape{};
@@ -103,6 +105,7 @@ Tensor& Tensor::operator=(Tensor&& other) noexcept {
   ptr_ = other.ptr_;
   owned_ = std::move(other.owned_);
   arena_ = other.arena_;
+  trace_generation_ = other.trace_generation_;
   other.shape_ = Shape{};
   other.numel_ = 0;
   other.ptr_ = nullptr;

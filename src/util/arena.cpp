@@ -160,13 +160,14 @@ void Arena::begin_trace() {
   if (planned_) throw std::logic_error("Arena: cannot trace in planned mode");
   reset();
   tracing_ = true;
+  ++generation_;
   tick_ = 0;
   trace_.clear();
   live_.clear();
 }
 
-void Arena::note_release(const void* p) noexcept {
-  if (!tracing_ || p == nullptr) return;
+void Arena::note_release(const void* p, std::uint64_t generation) noexcept {
+  if (!tracing_ || p == nullptr || generation != generation_) return;
   // Scan from the back: releases overwhelmingly target recent allocations
   // (LIFO-ish Tensor lifetimes), and the trace is a few hundred entries.
   for (auto it = live_.rbegin(); it != live_.rend(); ++it) {

@@ -4,7 +4,9 @@
 // are the ones where padding and striding interact: stride 2 on odd
 // extents, dilation-4 taps that fall wholly into padding on a 4x4 plane
 // (the model's aspp.r4 branch), 1x1 kernels, pad > 0 on 1-pixel planes
-// and a non-square kernel.
+// and a non-square kernel; then all twelve model convolutions, and every
+// row width the lowering compiles a fixed-width body for (4, 8, 16, 32 at
+// stride 1 and 2) next to generic widths 5 and 33.
 //
 // Also here: conv backward entry points must reject a grad_out whose
 // shape disagrees with the forward (it sizes the column buffers), and
@@ -45,6 +47,35 @@ const LoweringCase kCases[] = {
     {"1x1 p1 on 1x1", {1, 2, 1, 1}, 1, 1, {1, 1, 1}},
     {"1x3 s1 p1", {1, 2, 5, 6}, 1, 3, {1, 1, 1}},
     {"3x3 s3 p2 d2", {1, 2, 11, 8}, 3, 3, {3, 2, 2}},
+    // The twelve convolutions of the mini DeepLab-v3+ at width 16 on
+    // 32x32 inputs, batch 2.
+    {"model stem", {2, 3, 32, 32}, 3, 3, {2, 1, 1}},
+    {"model block1", {2, 16, 16, 16}, 3, 3, {2, 1, 1}},
+    {"model block2", {2, 32, 8, 8}, 3, 3, {2, 1, 1}},
+    {"model block3", {2, 64, 4, 4}, 3, 3, {1, 2, 2}},
+    {"model aspp.1x1", {2, 64, 4, 4}, 1, 1, {1, 0, 1}},
+    {"model aspp.r2", {2, 64, 4, 4}, 3, 3, {1, 2, 2}},
+    {"model aspp.r4", {2, 64, 4, 4}, 3, 3, {1, 4, 4}},
+    {"model aspp.pool", {2, 64, 1, 1}, 1, 1, {1, 0, 1}},
+    {"model aspp.project", {2, 128, 4, 4}, 1, 1, {1, 0, 1}},
+    {"model decoder.low_level", {2, 32, 8, 8}, 1, 1, {1, 0, 1}},
+    {"model decoder.conv", {2, 80, 8, 8}, 3, 3, {1, 1, 1}},
+    {"model classifier", {2, 32, 8, 8}, 1, 1, {1, 0, 1}},
+    // Every fixed-width row body (out_w 8, 16, 32 at stride 1 and 2, with
+    // and without padding, out_h != out_w) and generic widths beside them.
+    {"out_w 8 s1 p1", {1, 2, 5, 8}, 3, 3, {1, 1, 1}},
+    {"out_w 16 s1 p1", {1, 2, 16, 16}, 3, 3, {1, 1, 1}},
+    {"out_w 32 s1 p1", {1, 2, 32, 32}, 3, 3, {1, 1, 1}},
+    {"out_w 32 s1 p0", {1, 2, 10, 34}, 3, 3, {1, 0, 1}},
+    {"out_w 8 s2 p1", {1, 2, 16, 16}, 3, 3, {2, 1, 1}},
+    {"out_w 16 s2 p1", {1, 2, 9, 32}, 3, 3, {2, 1, 1}},
+    {"out_w 32 s2 p1", {1, 2, 64, 64}, 3, 3, {2, 1, 1}},
+    {"out_w 32 s2 p0 1x1", {1, 2, 8, 64}, 1, 1, {2, 0, 1}},
+    {"out_w 16 s2 p2 d2", {2, 2, 12, 32}, 3, 3, {2, 2, 2}},
+    {"generic out_w 5 s1", {1, 2, 5, 5}, 3, 3, {1, 1, 1}},
+    {"generic out_w 5 s2", {1, 2, 9, 9}, 3, 3, {2, 1, 1}},
+    {"generic out_w 33 s1", {1, 2, 9, 33}, 3, 3, {1, 1, 1}},
+    {"generic out_w 33 s2", {1, 2, 9, 65}, 3, 3, {2, 1, 1}},
 };
 
 std::string describe(const LoweringCase& c) { return c.name; }

@@ -21,6 +21,7 @@
 #include "dlscale/util/env.hpp"
 #include "dlscale/util/rng.hpp"
 #include "dlscale/util/simd.hpp"
+#include "dlscale/util/thread_pool.hpp"
 #include "../support/simd_param.hpp"
 
 namespace dt = dlscale::tensor;
@@ -148,6 +149,51 @@ TEST(MicrokernelGemm, GemmNtAccBitwiseParityAcrossLevels) {
         },
         "gemm_nt_acc " + std::to_string(s.rows) + "x" + std::to_string(s.k) +
             "x" + std::to_string(s.n));
+  }
+}
+
+TEST(MicrokernelGemm, SharedPackGemmNtAccMatchesScalarTwinBitwise) {
+  // The weight-gradient pattern of conv2d_backward: B is packed once, then
+  // 16-row chunks of A run over the shared panels through the pool. Rows
+  // span 1, 2 and 5 chunks (the last one ragged); every level at pool
+  // sizes 1 and 4 must reproduce the scalar twin bit for bit. The shapes
+  // mix full 16- and 8-lane panels with a scalar column tail.
+  constexpr int kChunk = 16;
+  struct Restore {
+    int threads = du::global_thread_count();
+    ~Restore() { du::set_global_thread_count(threads); }
+  } restore;
+  const GemmShape shapes[] = {{0, 64, 720}, {0, 256, 27}, {0, 16, 40}, {0, 9, 13}, {0, 1, 8}};
+  for (const int rows : {16, 32, 70}) {
+    for (const GemmShape& shape : shapes) {
+      const int k = shape.k, n = shape.n;
+      const auto a = random_with_zeros(static_cast<std::size_t>(rows) * k, 34);
+      const auto b = random_with_zeros(static_cast<std::size_t>(n) * k, 35);
+      const auto c0 = random_with_zeros(static_cast<std::size_t>(rows) * n, 36);
+      std::vector<float> want = c0;
+      {
+        ScopedSimdLevel scalar(du::SimdLevel::kScalar);
+        micro::gemm_nt_acc(a.data(), b.data(), want.data(), rows, k, n);
+      }
+      for (const int threads : {1, 4}) {
+        du::set_global_thread_count(threads);
+        for (du::SimdLevel level : simd_levels_under_test()) {
+          ScopedSimdLevel scoped(level);
+          std::vector<float> packed(micro::gemm_nt_packed_size(k, n));
+          micro::gemm_nt_pack_b(b.data(), k, n, packed.data());
+          std::vector<float> c = c0;
+          du::parallel_for(0, rows, kChunk, [&](std::int64_t i0, std::int64_t i1) {
+            micro::gemm_nt_acc_packed(a.data() + i0 * k, b.data(), packed.data(),
+                                      c.data() + i0 * n, static_cast<int>(i1 - i0), k, n);
+          });
+          expect_bitwise_equal(want, c,
+                               "shared-pack gemm_nt_acc " + std::to_string(rows) + "x" +
+                                   std::to_string(k) + "x" + std::to_string(n) + " at " +
+                                   du::simd_level_name(level) + ", " + std::to_string(threads) +
+                                   " threads");
+        }
+      }
+    }
   }
 }
 

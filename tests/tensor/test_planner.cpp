@@ -100,7 +100,7 @@ TEST(MemoryPlanner, PlanDrivesArenaReplay) {
   du::Arena arena;
   arena.begin_trace();
   void* a = arena.allocate(512);
-  arena.note_release(a);
+  arena.note_release(a, arena.trace_generation());
   arena.allocate(512);  // never released
   const du::MemoryPlan plan = dt::MemoryPlanner::pack(arena.take_trace());
   EXPECT_EQ(plan.peak_bytes, 512u);  // a is dead before b exists

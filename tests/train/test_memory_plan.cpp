@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dlscale/train/trainer.hpp"
@@ -153,6 +154,46 @@ TEST_P(MemoryModeIdentity, TwoRankRunMatchesOwningMode) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(owning.epochs[e].eval_miou),
               std::bit_cast<std::uint64_t>(planned.epochs[e].eval_miou))
         << "epoch " << e << " mIOU";
+  }
+}
+
+TEST_P(MemoryModeIdentity, PlannedMatchesOwningAcrossBatchShapeChanges) {
+  // Every batch-size change re-traces the plan while layer caches from
+  // the previous step (a conv's cached input, say) still point into the
+  // block the new trace hands out again. Overwriting such a cache must
+  // not end a live tensor of the new trace early: a plan that did would
+  // overlap two live buffers and move the math.
+  const std::vector<int> batch_sizes = {2, 1, 2, 2, 2, 3, 2, 2, 1, 1, 2, 2};
+  struct Geometry {
+    int width, size;
+  };
+  for (const Geometry geometry : {Geometry{8, 16}, Geometry{16, 32}}) {
+    auto run = [&](dt::MemoryMode memory) {
+      dt::TrainConfig config = tiny_config(memory);
+      config.model.width = geometry.width;
+      config.model.input_size = geometry.size;
+      config.dataset.image_size = geometry.size;
+      dt::NoComm hook;
+      dt::Trainer trainer(config, hook);
+      const dd::SyntheticShapes dataset(config.dataset);
+      StepsResult result;
+      std::uint64_t next = 0;
+      for (int size : batch_sizes) {
+        std::vector<std::uint64_t> ids;
+        for (int i = 0; i < size; ++i) ids.push_back(next++);
+        result.losses.push_back(trainer.train_step(dataset.make_batch(ids), 0.05));
+      }
+      for (dn::Parameter* p : trainer.model().parameters()) {
+        for (float v : p->value.data()) result.params.push_back(v);
+      }
+      return result;
+    };
+    const StepsResult owning = run(dt::MemoryMode::kOwning);
+    const StepsResult planned = run(dt::MemoryMode::kPlanned);
+    SCOPED_TRACE("width " + std::to_string(geometry.width) + " at " +
+                 std::to_string(geometry.size) + "x" + std::to_string(geometry.size));
+    expect_bitwise_equal(owning.losses, planned.losses, "losses owning vs planned");
+    expect_bitwise_equal(owning.params, planned.params, "params owning vs planned");
   }
 }
 

@@ -111,15 +111,32 @@ TEST(Arena, ResetPoisonsReleasedStorage) {
   }
 }
 
+TEST(Arena, ReleaseFromAnEarlierTraceGenerationIsIgnored) {
+  // A borrow made before begin_trace() can sit at the same address as an
+  // allocation of the new trace; its release must not end that one.
+  du::Arena arena;
+  arena.begin_trace();
+  void* stale = arena.allocate(256);
+  const std::uint64_t stale_generation = arena.trace_generation();
+  arena.begin_trace();
+  EXPECT_NE(arena.trace_generation(), stale_generation);
+  void* live = arena.allocate(256);
+  ASSERT_EQ(live, stale);  // reset() hands the same bytes out again
+  arena.note_release(stale, stale_generation);
+  const std::vector<du::ArenaTraceEvent> trace = arena.take_trace();
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(trace[0].release_tick, 0u) << "stale release ended a live allocation";
+}
+
 TEST(Arena, TraceRecordsAllocationAndReleaseTicks) {
   du::Arena arena;
   arena.begin_trace();
   ASSERT_TRUE(arena.tracing());
   void* a = arena.allocate(100);
   void* b = arena.allocate(200);
-  arena.note_release(a);
+  arena.note_release(a, arena.trace_generation());
   void* c = arena.allocate(300);
-  arena.note_release(c);
+  arena.note_release(c, arena.trace_generation());
   const std::vector<du::ArenaTraceEvent> trace = arena.take_trace();
   EXPECT_FALSE(arena.tracing());
   ASSERT_EQ(trace.size(), 3u);
